@@ -7,14 +7,20 @@ parallel int32 arrays (tail, label, head); the triple view is the API
 boundary.  Values are immutable once built and safe to share.
 """
 
+import json
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 
 __all__ = [
     "AutomatonError", "ValidationError", "ParseError", "UnreachableStateError",
     "PtDfa", "MinimizeStats",
     "validate", "parse", "serialize", "canonicalize", "is_isomorphic", "accepts",
 ]
+
+
+_INT32_MAX = 2**31 - 1  # indices and counts live in array("i")
 
 
 class AutomatonError(ValueError):
@@ -94,89 +100,220 @@ class PtDfa:
 def validate(n, alpha, transitions, initial, finals) -> PtDfa:
     """Check a raw description and return the PtDfa.
 
-    Raises :class:`ValidationError` carrying one diagnostic per problem:
-    a duplicate (tail, label) key (nondeterminism), an index out of
-    range, or an empty state set.  Each diagnostic names the offending
-    record.
+    ``transitions`` is an iterable of (tail, label, head) triples.  Every
+    value must be a plain ``int``: a float or a bool is refused, never
+    coerced.  Raises :class:`ValidationError` carrying one diagnostic per
+    problem: a value that is not an int, a record that is not a triple, a
+    duplicate (tail, label) key (nondeterminism), an index out of range,
+    an empty state set, or n or alpha above the int32 range the arrays
+    store.  Each diagnostic names the offending record.
     """
-    diags = []
+    records = list(transitions)
+    finals = list(finals)
+    try:
+        plain = (set(map(len, records)) <= {3} and set(map(type, chain(
+            (n, alpha, initial), finals, chain.from_iterable(records)))) <= {int})
+        if plain:
+            flat = array("i", chain.from_iterable(records))
+            final_states = array("i", finals)
+    except (TypeError, OverflowError):  # a record with no length; int32 overflow
+        plain = False
+    if not plain:
+        raise ValidationError(_diagnostics(n, alpha, records, initial, finals))
+    return _checked(n, alpha, flat[0::3], flat[1::3], flat[2::3], initial,
+                    final_states)
+
+
+def _within(values, limit: int) -> bool:
+    return not values or (min(values) >= 0 and max(values) < limit)
+
+
+def _checked(n, alpha, tails, labels, heads, initial, finals) -> PtDfa:
+    """The PtDfa of int32 arrays that pass the structural check shared by
+    :func:`parse` and :func:`validate`: n and alpha in the int32 range,
+    every index in range, no repeated (tail, label) key.  Only when the
+    check fails are the records walked again, by :func:`_diagnostics`."""
+    if (1 <= n <= _INT32_MAX and 0 <= alpha <= _INT32_MAX and 0 <= initial < n
+            and _within(finals, n) and _within(tails, n)
+            and _within(heads, n) and _within(labels, alpha)
+            # labels are below alpha here, so tail * alpha + label is a
+            # one-to-one key
+            and len(set(map(add, map(mul, tails, repeat(alpha)), labels)))
+            == len(tails)):
+        return PtDfa(n, alpha, tails, labels, heads, initial, frozenset(finals))
+    raise ValidationError(
+        _diagnostics(n, alpha, zip(tails, labels, heads), initial, finals))
+
+
+def _diagnostics(n, alpha, records, initial, finals) -> list:
+    """Every fault of a raw description, one diagnostic per bad record.
+
+    The error path of :func:`parse` and :func:`validate`, run only after
+    their fast checks have failed.
+    """
+    diags = [f"{name} {value!r} is not an int"
+             for name, value in (("n", n), ("alpha", alpha),
+                                 ("initial state", initial))
+             if type(value) is not int]
+    if diags:
+        return diags
     if n < 1:
         diags.append(f"empty state set (n={n})")
+    elif n > _INT32_MAX:
+        diags.append(f"state count n={n} is above the int32 range")
     if alpha < 0:
         diags.append(f"negative alphabet size ({alpha})")
+    elif alpha > _INT32_MAX:
+        diags.append(f"alphabet size {alpha} is above the int32 range")
     if n >= 1 and not 0 <= initial < n:
         diags.append(f"initial state {initial} out of range 0..{n - 1}")
-    finals = frozenset(finals)
-    for q in sorted(finals):
+    diags += [f"final state {q!r} is not an int"
+              for q in finals if type(q) is not int]
+    for q in sorted({q for q in finals if type(q) is int}):
         if not 0 <= q < n:
             diags.append(f"final state {q} out of range 0..{n - 1}")
-    triples = [(int(t), int(a), int(h)) for t, a, h in transitions]
     seen = set()
-    for i, (t, a, h) in enumerate(triples):
-        if not 0 <= t < n:
-            diags.append(f"tail {t} out of range in transition #{i}")
-        if not 0 <= a < alpha:
-            diags.append(f"label {a} out of range in transition #{i}")
-        if not 0 <= h < n:
-            diags.append(f"head {h} out of range in transition #{i}")
-        key = (t, a)
-        if key in seen:
-            diags.append(
-                f"duplicate transition key (tail={t}, label={a}) at transition #{i}")
-        seen.add(key)
-    if diags:
-        raise ValidationError(diags)
-    return PtDfa.from_triples(n, alpha, triples, initial, finals)
+    for i, record in enumerate(records):
+        try:
+            t, a, h = record
+        except (TypeError, ValueError):
+            diags.append(f"transition #{i} is not a (tail, label, head) triple")
+            continue
+        for name, value, limit in (("tail", t, n), ("label", a, alpha),
+                                   ("head", h, n)):
+            if type(value) is not int:
+                diags.append(f"{name} {value!r} is not an int in transition #{i}")
+            elif not 0 <= value < limit:
+                diags.append(f"{name} {value} out of range in transition #{i}")
+        if type(t) is int and type(a) is int:
+            if (t, a) in seen:
+                diags.append(f"duplicate transition key (tail={t}, label={a}) "
+                             f"at transition #{i}")
+            seen.add((t, a))
+    return diags
 
 
-def _int_token(token: str, lineno: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(lineno, f"expected an integer, got {token!r}") from None
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 def parse(text: str) -> PtDfa:
     """Parse the automaton text format.
 
-    Line 1: ``dfa <n> <alpha> <m> <k> <initial>``, then m lines
-    ``<tail> <label> <head>``, then k lines ``<final-state>``.  Numbers
-    are ASCII decimal, states 0-based.  Lines starting with ``#`` are
-    comments; blank lines are ignored.  Raises :class:`ParseError` with a
-    line number on syntax problems and :class:`ValidationError` on
-    structural ones.
+    The text is split into lines at LF; the LF after the last line is
+    optional.  The lines other than comments and empty ones are, in
+    order, the header ``dfa <n> <alpha> <m> <k> <initial>``, m transition
+    lines ``<tail> <label> <head>`` and k final-state lines ``<state>``.
+
+    * A line with ``#`` in column 0 is a comment; a ``#`` anywhere else
+      is an error.
+    * Empty lines are skipped; a line of spaces is not empty.
+    * Fields are separated by single spaces, with none at the start or
+      the end of a line; a tab or a CR is an error.
+    * A number is ASCII decimal digits without a leading zero (``0``
+      itself is fine).  States are 0-based.
+    * n and alpha are at most 2**31 - 1, states lie in 0..n-1, labels in
+      0..alpha-1, and no (tail, label) pair appears twice.
+
+    Raises :class:`ParseError`, carrying the 1-based number of the first
+    offending line, for text that breaks the grammar: a wrong character,
+    field count or line count.  Raises :class:`ValidationError`, with
+    one diagnostic per offending record, for a number above 2**31 - 1
+    and for an automaton that breaks the last rule.
     """
-    rows = []
-    last_line = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-        last_line = lineno
-    if not rows:
-        raise ParseError(1, "missing header line")
-    lineno, header = rows[0]
-    if len(header) != 6 or header[0] != "dfa":
-        raise ParseError(lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
-    n, alpha, m, k, initial = (_int_token(tok, lineno) for tok in header[1:])
-    if m < 0 or k < 0:
-        raise ParseError(lineno, "negative transition or final count")
-    if len(rows) != 1 + m + k:
-        raise ParseError(last_line,
-                         f"expected {m} transition and {k} final-state lines, "
-                         f"found {len(rows) - 1} data lines")
-    triples = []
-    for lineno, tokens in rows[1:1 + m]:
-        if len(tokens) != 3:
-            raise ParseError(lineno, "transition line must be '<tail> <label> <head>'")
-        triples.append(tuple(_int_token(tok, lineno) for tok in tokens))
-    finals = []
-    for lineno, tokens in rows[1 + m:]:
-        if len(tokens) != 1:
-            raise ParseError(lineno, "final-state line must be a single state")
-        finals.append(_int_token(tokens[0], lineno))
-    return validate(n, alpha, triples, initial, finals)
+    data = [line for line in text.split("\n") if line and line[0] != "#"]
+    header = data[0].split(" ") if data else []
+    if not (len(header) == 6 and header[0] == "dfa"
+            and all(_numeral_fault(t) is None and not _above_int32(t)
+                    for t in header[1:])):
+        raise _text_error(text)
+    n, alpha, m, k, initial = map(int, header[1:])
+    if len(data) != 1 + m + k:
+        raise _text_error(text)
+    body = "\n".join(data[1:])
+    del data  # the line strings would double the peak memory from here on
+    # Without its digits a transition line is two spaces and a
+    # final-state line is empty.
+    if body.translate(_NO_DIGITS) != "\n".join(["  "] * m + [""] * k):
+        raise _text_error(text)
+    try:
+        # The JSON scanner converts the numbers in C.  It refuses the
+        # empty field that a run of spaces leaves and a leading zero.
+        flat = array("i", json.loads(f"[{body.translate(_TO_COMMAS)}]"))
+    except (ValueError, OverflowError):  # also a number above int32
+        raise _text_error(text) from None
+    end = 3 * m
+    return _checked(n, alpha, flat[0:end:3], flat[1:end:3], flat[2:end:3],
+                    initial, flat[end:])
+
+
+def _numeral_fault(token: str):
+    """Why ``token`` is not a number of the text format, or None."""
+    if not token:
+        return "fields must be separated by single spaces"
+    if not (token.isascii() and token.isdigit()):
+        return f"expected a decimal number, got {token!r}"
+    if token[0] == "0" and len(token) > 1:
+        return f"leading zero in {token!r}"
+    return None
+
+
+def _above_int32(numeral: str) -> bool:
+    # The length test comes first: int() refuses very long digit strings.
+    return len(numeral) > 10 or int(numeral) > _INT32_MAX
+
+
+def _shown(numeral: str) -> str:
+    if len(numeral) <= 20:
+        return numeral
+    return f"{numeral[:20]}...({len(numeral)} digits)"
+
+
+def _text_error(text: str) -> AutomatonError:
+    """The error for a text that :func:`parse` refused, found by walking
+    its lines again: a :class:`ParseError` at the first line that breaks
+    the grammar, else a :class:`ValidationError` naming each number above
+    the int32 range."""
+    numbered = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
+                if line and line[0] != "#"]
+    if not numbered:
+        return ParseError(1, "missing header line")
+    lineno, header = numbered[0]
+    fields = header.split(" ")
+    if len(fields) != 6 or fields[0] != "dfa":
+        return ParseError(lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
+    for token in fields[1:]:
+        if fault := _numeral_fault(token):
+            return ParseError(lineno, fault)
+    big = [f"header field {name}={_shown(token)} is above the int32 range"
+           for name, token in zip(("n", "alpha", "m", "k", "initial"), fields[1:])
+           if _above_int32(token)]
+    if big:
+        return ValidationError(big)
+    n, _, m, k, _ = map(int, fields[1:])
+    for lineno, line in numbered[1:]:
+        for token in line.split(" "):
+            if fault := _numeral_fault(token):
+                return ParseError(lineno, fault)
+    if len(numbered) != 1 + m + k:
+        return ParseError(numbered[-1][0],
+                          f"expected {m} transition and {k} final-state lines, "
+                          f"found {len(numbered) - 1} data lines")
+    for i, (lineno, line) in enumerate(numbered[1:]):
+        tokens = line.split(" ")
+        if i < m:
+            if len(tokens) != 3:
+                return ParseError(
+                    lineno, "transition line must be '<tail> <label> <head>'")
+            big += [f"{name} {_shown(token)} out of range in transition #{i}"
+                    for name, token in zip(("tail", "label", "head"), tokens)
+                    if _above_int32(token)]
+        elif len(tokens) != 1:
+            return ParseError(lineno, "final-state line must be a single state")
+        elif _above_int32(tokens[0]):
+            big.append(f"final state {_shown(tokens[0])} out of range 0..{n - 1}")
+    assert big, "parse refused a text in which no fault is found"
+    return ValidationError(big)
 
 
 def serialize(d: PtDfa) -> str:

@@ -1,10 +1,13 @@
-"""Shared test utilities: a naive reference partition, brute-force
-language tools, and the exhaustive tiny-automaton sweep."""
+"""Shared test utilities: a naive reference partition, the line-by-line
+reference parser, brute-force language tools, and the exhaustive
+tiny-automaton sweep."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ptdfa import PtDfa, hopcroft_minimize, minimize_with_stats
+from ptdfa import (
+    ParseError, PtDfa, ValidationError, hopcroft_minimize, minimize_with_stats,
+)
 from ptdfa.oracle import oracle_minimize
 
 
@@ -69,6 +72,83 @@ def assert_agrees(rp, model):
         f, m, e = rp.first[s], rp.mid[s], rp.end[s]
         assert {rp.elems[i] for i in range(f, e)} == model.members[s]
         assert {rp.elems[i] for i in range(f, m)} == model.marked[s]
+
+
+def reference_validate(n, alpha, transitions, initial, finals):
+    """Per-triple reference for ``validate`` on int-valued input: one
+    diagnostic per problem, in the order ``validate`` reports them."""
+    diags = []
+    if n < 1:
+        diags.append(f"empty state set (n={n})")
+    if alpha < 0:
+        diags.append(f"negative alphabet size ({alpha})")
+    if n >= 1 and not 0 <= initial < n:
+        diags.append(f"initial state {initial} out of range 0..{n - 1}")
+    finals = frozenset(finals)
+    for q in sorted(finals):
+        if not 0 <= q < n:
+            diags.append(f"final state {q} out of range 0..{n - 1}")
+    triples = [(int(t), int(a), int(h)) for t, a, h in transitions]
+    seen = set()
+    for i, (t, a, h) in enumerate(triples):
+        if not 0 <= t < n:
+            diags.append(f"tail {t} out of range in transition #{i}")
+        if not 0 <= a < alpha:
+            diags.append(f"label {a} out of range in transition #{i}")
+        if not 0 <= h < n:
+            diags.append(f"head {h} out of range in transition #{i}")
+        key = (t, a)
+        if key in seen:
+            diags.append(
+                f"duplicate transition key (tail={t}, label={a}) at transition #{i}")
+        seen.add(key)
+    if diags:
+        raise ValidationError(diags)
+    return PtDfa.from_triples(n, alpha, triples, initial, finals)
+
+
+def _int_token(token: str, lineno: int) -> int:
+    try:
+        return int(token, 10)
+    except ValueError:
+        raise ParseError(lineno, f"expected an integer, got {token!r}") from None
+
+
+def reference_parse(text: str):
+    """Line-by-line reference for ``parse``.  It tokenizes each line on
+    any whitespace and accepts whatever ``int`` accepts, so it agrees
+    with ``parse`` on well-formed text only."""
+    rows = []
+    last_line = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped.split()))
+        last_line = lineno
+    if not rows:
+        raise ParseError(1, "missing header line")
+    lineno, header = rows[0]
+    if len(header) != 6 or header[0] != "dfa":
+        raise ParseError(lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
+    n, alpha, m, k, initial = (_int_token(tok, lineno) for tok in header[1:])
+    if m < 0 or k < 0:
+        raise ParseError(lineno, "negative transition or final count")
+    if len(rows) != 1 + m + k:
+        raise ParseError(last_line,
+                         f"expected {m} transition and {k} final-state lines, "
+                         f"found {len(rows) - 1} data lines")
+    triples = []
+    for lineno, tokens in rows[1:1 + m]:
+        if len(tokens) != 3:
+            raise ParseError(lineno, "transition line must be '<tail> <label> <head>'")
+        triples.append(tuple(_int_token(tok, lineno) for tok in tokens))
+    finals = []
+    for lineno, tokens in rows[1 + m:]:
+        if len(tokens) != 1:
+            raise ParseError(lineno, "final-state line must be a single state")
+        finals.append(_int_token(tokens[0], lineno))
+    return reference_validate(n, alpha, triples, initial, finals)
 
 
 def all_words(alpha, max_len):

@@ -8,6 +8,8 @@ from ptdfa import (
     validate,
 )
 
+from helpers import reference_parse, reference_validate
+
 
 def _reachable_part(d):
     step = d.transition_map()
@@ -78,6 +80,133 @@ def test_parse_bad_header():
 def test_parse_wrong_line_count():
     with pytest.raises(ParseError):
         parse("dfa 2 1 2 0 0\n0 0 1\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dfa 2 1 1 0 0\n+0 0 1\n", 2),
+    ("dfa 2 1 1 0 0\n1_0 0 1\n", 2),
+    ("dfa 2 1 1 0 0\n0 \u0660 1\n", 2),            # ARABIC-INDIC DIGIT ZERO
+    ("dfa 2 1 1 0 0\n0\t0 1\n", 2),
+    ("dfa 2 1 1 0 0\n0  0 1\n", 2),
+    ("dfa 2 1 1 0 0\n 0 0 1\n", 2),
+    ("dfa 2 1 1 0 0\n0 0 1 \n", 2),
+    ("dfa 2 1 1 1 0\r\n0 0 1\r\n1\r\n", 1),
+    ("# comment\r\ndfa 2 1 1 1 0\n0 0 1\r\n1\n", 3),
+    ("dfa 2 1 1 0 0\n0 -1 1\n", 2),
+    ("dfa 2 1 1 0 0 0\n0 0 1\n", 1),
+    ("\n#\ndfa 2 1 1 0\n0 0 1\n", 3),
+    ("dfa 2 1 1 1 0\n0 0 1\n01\n", 3),
+    ("dfa 2 1 1 1 0\n0 0 1\n  \n1\n", 3),
+    ("dfa 2 1 1 1 0\n0 0 1 # note\n1\n", 2),
+    ("dfa 2 1 1 1 0\n0 0\n1 1\n", 2),
+    ("", 1),
+])
+def test_parse_rejects_text_outside_the_grammar(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
+def test_parse_refuses_numbers_above_int32():
+    with pytest.raises(ValidationError) as exc:
+        parse("dfa 3000000000 1 1 0 0\n2999999999 0 1\n")
+    assert exc.value.diagnostics == [
+        "header field n=3000000000 is above the int32 range"]
+    with pytest.raises(ValidationError) as exc:
+        parse("dfa 2 1 1 1 0\n0 0 3000000000\n2147483648\n")
+    assert exc.value.diagnostics == [
+        "head 3000000000 out of range in transition #0",
+        "final state 2147483648 out of range 0..1"]
+    with pytest.raises(ValidationError) as exc:
+        parse("dfa 2 1 1 0 0\n0 0 2147483647\n")
+    assert exc.value.diagnostics == ["head 2147483647 out of range in transition #0"]
+
+
+def test_parse_refuses_numbers_longer_than_int_converts():
+    huge = "9" * 5000
+    for text in (f"dfa {huge} 1 0 0 0\n", f"dfa 2 1 1 0 0\n0 {huge} 1\n",
+                 f"dfa 2 1 0 1 0\n{huge}\n"):
+        with pytest.raises(ValidationError) as exc:
+            parse(text)
+        assert "(5000 digits)" in str(exc.value)
+
+
+def _noisy(d, rng) -> str:
+    """The text of ``d`` with its transitions shuffled and comment and
+    empty lines put between the data lines."""
+    lines = serialize(d).split("\n")[:-1]
+    transitions = lines[1:1 + d.m]
+    rng.shuffle(transitions)
+    out = []
+    for line in [lines[0]] + transitions + lines[1 + d.m:] + [None]:
+        while rng.random() < 0.2:
+            out.append(rng.choice(["", "#", "# 0 0 1", "#\t+1 \u0660\r"]))
+        if line is not None:
+            out.append(line)
+    return "\n".join(out) + rng.choice(["", "\n"])
+
+
+def test_parse_agrees_with_reference_parser():
+    rng = random.Random(23)
+    cases = [generate(1, 1, 0.2, 0, seed=0), generate(3, 1, 0.1, 2, seed=1),
+             generate(4, 2, 1.0, 0, seed=2)]
+    assert [cases[0].m, cases[1].m, len(cases[2].finals)] == [0, 0, 0]
+    for i in range(200):
+        n = rng.randrange(1, 40)
+        cases.append(generate(n, rng.randrange(1, 6), rng.choice([0.05, 0.3, 1.0]),
+                              rng.randrange(0, n + 1), seed=i))
+    for d in cases:
+        text = _noisy(d, rng)
+        assert parse(text) == reference_parse(text)
+        assert parse(serialize(d)) == d
+
+
+def test_validate_diagnostics_match_reference():
+    rng = random.Random(29)
+    for _ in range(400):
+        args = (rng.randrange(-1, 5), rng.randrange(-1, 4),
+                [(rng.randrange(-1, 5), rng.randrange(-1, 4), rng.randrange(-1, 5))
+                 for _ in range(rng.randrange(0, 6))],
+                rng.randrange(-1, 5),
+                [rng.randrange(-1, 5) for _ in range(rng.randrange(0, 3))])
+        outcomes = []
+        for check in (validate, reference_validate):
+            try:
+                outcomes.append(check(*args))
+            except ValidationError as exc:
+                outcomes.append(exc.diagnostics)
+        assert outcomes[0] == outcomes[1]
+
+
+def test_validate_refuses_values_that_are_not_ints():
+    with pytest.raises(ValidationError) as exc:
+        validate(2, 1, [(0.9, 0, 1)], 0, [1.0])
+    assert exc.value.diagnostics == ["final state 1.0 is not an int",
+                                     "tail 0.9 is not an int in transition #0"]
+    with pytest.raises(ValidationError) as exc:
+        validate(2, 1, [(0, False, 1), (1, 0)], 0, [True])
+    assert exc.value.diagnostics == [
+        "final state True is not an int",
+        "label False is not an int in transition #0",
+        "transition #1 is not a (tail, label, head) triple"]
+    with pytest.raises(ValidationError) as exc:
+        validate(2.0, 1, [], 0, [])
+    assert exc.value.diagnostics == ["n 2.0 is not an int"]
+
+
+def test_validate_refuses_values_beyond_int32():
+    big = 2**31
+    with pytest.raises(ValidationError) as exc:
+        validate(big, big, [], 0, [])
+    assert exc.value.diagnostics == [
+        "state count n=2147483648 is above the int32 range",
+        "alphabet size 2147483648 is above the int32 range"]
+    with pytest.raises(ValidationError) as exc:
+        validate(2, 1, [(0, 0, big), (-big - 1, 0, 1)], 0, [])
+    assert exc.value.diagnostics == [
+        "head 2147483648 out of range in transition #0",
+        "tail -2147483649 out of range in transition #1"]
+    assert validate(big - 1, 1, [(big - 2, 0, 0)], 0, [big - 2]).n == big - 1
 
 
 def test_unsorted_input_reserializes_sorted():

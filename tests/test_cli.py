@@ -41,6 +41,39 @@ def test_minimize_invalid_automaton_exits_1():
     assert "duplicate transition key" in r.stderr
 
 
+def test_minimize_number_above_int32_exits_1():
+    r = run_cli("minimize", stdin="dfa 3000000000 1 1 0 0\n2999999999 0 1\n")
+    assert r.returncode == 1
+    assert r.stderr == "error: header field n=3000000000 is above the int32 range\n"
+
+
+def test_minimize_number_longer_than_int_converts_exits_1(tmp_path: Path):
+    src = tmp_path / "in.dfa"
+    src.write_text(f"dfa 2 1 1 0 0\n0 0 {'7' * 5000}\n")
+    r = run_cli("minimize", "--in", str(src))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: head 77777")
+    assert "(5000 digits) out of range in transition #0" in r.stderr
+
+
+def test_minimize_crlf_input_exits_1(tmp_path: Path):
+    crlf = "dfa 2 1 1 1 0\r\n0 0 1\r\n1\r\n"
+    src = tmp_path / "in.dfa"
+    src.write_bytes(crlf.encode())
+    for r in (run_cli("minimize", "--in", str(src)),
+              run_cli("minimize", stdin=crlf)):
+        assert r.returncode == 1
+        assert r.stderr == "error: line 1: expected a decimal number, got '0\\r'\n"
+
+
+def test_minimize_input_not_utf8_exits_1(tmp_path: Path):
+    src = tmp_path / "in.dfa"
+    src.write_bytes(b"# \xff\ndfa 1 1 0 0 0\n")
+    r = run_cli("minimize", "--in", str(src))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_minimize_unknown_flag_exits_2():
     r = run_cli("minimize", "--frobnicate")
     assert r.returncode == 2
