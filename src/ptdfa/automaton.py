@@ -1,4 +1,4 @@
-"""PT-DFA values, validation, the text format, and canonical renumbering.
+"""PT-DFA values, validation, the text format, and canonical forms.
 
 A PT-DFA is a deterministic finite automaton whose transition function
 may be partial: a missing (state, label) entry simply kills the run.
@@ -10,7 +10,7 @@ boundary.  Values are immutable once built and safe to share.
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul
 
 __all__ = [
@@ -158,20 +158,21 @@ def _diagnostics(n, alpha, records, initial, finals) -> list:
     if diags:
         return diags
     if n < 1:
-        diags.append(f"empty state set (n={n})")
+        diags.append(f"empty state set (n={_decimal(n)})")
     elif n > _INT32_MAX:
-        diags.append(f"state count n={n} is above the int32 range")
+        diags.append(f"state count n={_decimal(n)} is above the int32 range")
     if alpha < 0:
-        diags.append(f"negative alphabet size ({alpha})")
+        diags.append(f"negative alphabet size ({_decimal(alpha)})")
     elif alpha > _INT32_MAX:
-        diags.append(f"alphabet size {alpha} is above the int32 range")
+        diags.append(f"alphabet size {_decimal(alpha)} is above the int32 range")
+    states = f"0..{_decimal(n - 1)}"
     if n >= 1 and not 0 <= initial < n:
-        diags.append(f"initial state {initial} out of range 0..{n - 1}")
+        diags.append(f"initial state {_decimal(initial)} out of range {states}")
     diags += [f"final state {q!r} is not an int"
               for q in finals if type(q) is not int]
     for q in sorted({q for q in finals if type(q) is int}):
         if not 0 <= q < n:
-            diags.append(f"final state {q} out of range 0..{n - 1}")
+            diags.append(f"final state {_decimal(q)} out of range {states}")
     seen = set()
     for i, record in enumerate(records):
         try:
@@ -184,11 +185,12 @@ def _diagnostics(n, alpha, records, initial, finals) -> list:
             if type(value) is not int:
                 diags.append(f"{name} {value!r} is not an int in transition #{i}")
             elif not 0 <= value < limit:
-                diags.append(f"{name} {value} out of range in transition #{i}")
+                diags.append(f"{name} {_decimal(value)} out of range in "
+                             f"transition #{i}")
         if type(t) is int and type(a) is int:
             if (t, a) in seen:
-                diags.append(f"duplicate transition key (tail={t}, label={a}) "
-                             f"at transition #{i}")
+                diags.append(f"duplicate transition key (tail={_decimal(t)}, "
+                             f"label={_decimal(a)}) at transition #{i}")
             seen.add((t, a))
     return diags
 
@@ -269,6 +271,21 @@ def _shown(numeral: str) -> str:
     return f"{numeral[:20]}...({len(numeral)} digits)"
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, shortened like :func:`_shown`.  Unlike
+    ``str`` it also works past Python's digit limit for converting an
+    int to a string."""
+    magnitude = abs(value)
+    if magnitude < 10**20:
+        return str(value)
+    # A lower bound on the digit count from the bit length, then exact.
+    digits = int((magnitude.bit_length() - 1) * 0.30102999566398120)
+    while 10**digits <= magnitude:
+        digits += 1
+    sign = "-" if value < 0 else ""
+    return f"{sign}{magnitude // 10**(digits - 20)}...({digits} digits)"
+
+
 def _text_error(text: str) -> AutomatonError:
     """The error for a text that :func:`parse` refused, found by walking
     its lines again: a :class:`ParseError` at the first line that breaks
@@ -329,88 +346,86 @@ def serialize(d: PtDfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _counting_sort(order, keys, bins: int) -> array:
-    """Stable counting sort of transition indices by keys[i].
+def bucket_by(keys, nbins: int):
+    """Group indices 0..len(keys)-1 by key with one counting-sort pass.
 
-    ``order`` is an existing index ordering (or None for 0..m-1).
-    Returns a fresh int32 index array; only small count lists are
-    allocated besides it.
+    Returns (order, first, end): the indices whose key is b occupy
+    order[first[b]:end[b]], ascending.  O(len(keys) + nbins).
     """
-    counts = [0] * (bins + 1)
-    if order is None:
-        for k in keys:
-            counts[k + 1] += 1
-    else:
-        for i in order:
-            counts[keys[i] + 1] += 1
-    for b in range(bins):
-        counts[b + 1] += counts[b]
-    out = array("i", bytes(4 * len(keys)))
-    for i in (range(len(keys)) if order is None else order):
-        k = keys[i]
-        out[counts[k]] = i
+    counts = [0] * nbins
+    for k in keys:
         counts[k] += 1
-    return out
+    first = [0] * nbins
+    total = 0
+    for b in range(nbins):
+        first[b] = total
+        total += counts[b]
+    cursor = first.copy()
+    order = array("i", bytes(4 * len(keys)))
+    for i, k in enumerate(keys):
+        order[cursor[k]] = i
+        cursor[k] += 1
+    return order, first, cursor
 
 
-def canonicalize(d: PtDfa) -> PtDfa:
+def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     """Renumber states breadth-first from the initial state, exploring
     labels in ascending order.
 
     The result is the unique representative of the automaton's
     isomorphism class, so two automata are isomorphic exactly when their
-    canonical forms are equal.  Requires every state to be reachable;
-    raises :class:`UnreachableStateError` otherwise.
+    canonical forms are equal.  With ``blocks``, the block of each state
+    numbered densely 0..k-1, the result is the canonical form of the
+    quotient of ``d`` by those blocks: one state per block, carrying the
+    transitions of one member.  The blocks must be compatible with the
+    transitions (members of one block have the same labels defined, with
+    heads in the same block), as the blocks of a minimizer's final
+    partition are.  Omitting ``blocks`` gives every state a block of its
+    own.  Requires every state (block) to be reachable; raises
+    :class:`UnreachableStateError` otherwise.
     """
-    n, alpha, m = d.n, d.alpha, d.m
     tails, labels, heads = d.tails, d.labels, d.heads
-    initial, old_finals = d.initial, d.finals
-    d = None  # allow a caller-temporary input to be freed early
+    if blocks is None:
+        k = d.n
+        block_of = range(k)
+    else:
+        k = max(blocks) + 1
+        block_of = blocks
+        # Keep the transitions of the last member of each block, with
+        # their states replaced by blocks.
+        reps = set(dict(zip(blocks, range(d.n))).values())
+        kept = bytes(map(reps.__contains__, tails))
+        block = blocks.__getitem__
+        tails = array("i", map(block, compress(tails, kept)))
+        labels = array("i", compress(labels, kept))
+        heads = array("i", map(block, compress(heads, kept)))
+    order, first, end = bucket_by(tails, k)
+    label_of = labels.__getitem__
+    head_of = heads.__getitem__
 
-    # Per-tail transition slices with labels ascending.
-    order = _counting_sort(_counting_sort(None, labels, alpha), tails, n)
-    start = [0] * (n + 1)
-    for t in tails:
-        start[t + 1] += 1
-    for q in range(n):
-        start[q + 1] += start[q]
-
-    new_of = [-1] * n
+    initial = block_of[d.initial]
+    new_of = [-1] * k
     new_of[initial] = 0
     bfs = [initial]
-    for q in bfs:
-        for k in range(start[q], start[q + 1]):
-            h = heads[order[k]]
+    ct = array("i")
+    cl = array("i")
+    ch = array("i")
+    # Visiting blocks in their new order with labels ascending emits the
+    # transitions already sorted by (tail, label, head).
+    for q, b in enumerate(bfs):
+        out = sorted(order[first[b]:end[b]], key=label_of)
+        for h in map(head_of, out):
             if new_of[h] < 0:
                 new_of[h] = len(bfs)
                 bfs.append(h)
-    if len(bfs) != n:
+        ct.extend(repeat(q, len(out)))
+        cl.extend(map(label_of, out))
+        ch.extend(map(new_of.__getitem__, map(head_of, out)))
+    if len(bfs) != k:
         raise UnreachableStateError(
-            f"{n - len(bfs)} state(s) unreachable from the initial state")
-    del order, start, bfs
-
-    nt = array("i", bytes(4 * m))
-    nl = array("i", bytes(4 * m))
-    nh = array("i", bytes(4 * m))
-    for t in range(m):
-        nt[t] = new_of[tails[t]]
-        nl[t] = labels[t]
-        nh[t] = new_of[heads[t]]
-    tails = labels = heads = None
-
-    # Sort by (tail, label, head) with three stable passes, least
-    # significant key first.
-    o = _counting_sort(None, nh, n)
-    o = _counting_sort(o, nl, alpha)
-    o = _counting_sort(o, nt, n)
-    ct = array("i", (nt[i] for i in o))
-    nt = None
-    cl = array("i", (nl[i] for i in o))
-    nl = None
-    ch = array("i", (nh[i] for i in o))
-    nh = None
-    finals = frozenset(new_of[q] for q in old_finals)
-    return PtDfa(n, alpha, ct, cl, ch, 0, finals)
+            f"{k - len(bfs)} state(s) unreachable from the initial state")
+    finals = frozenset(new_of[block_of[q]] for q in d.finals)
+    return PtDfa(k, d.alpha, ct, cl, ch, 0, finals)
 
 
 def is_isomorphic(d1: PtDfa, d2: PtDfa) -> bool:

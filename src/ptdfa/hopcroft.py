@@ -3,17 +3,18 @@
 The partial transition function is completed by adding one absorbing
 sink state that receives every missing transition and all of its own.
 Classic (block, symbol) worklist refinement then runs over the full
-table, and the sink's block is stripped from the quotient.  Time is
+table.  This is only the refinement step: the minimizer pipeline of
+:mod:`ptdfa.minimizer` does the preprocessing and builds the canonical
+quotient from the final blocks, the sink's block left out.  Time is
 O(alpha n log n) and memory Theta(alpha n) for the dense table and its
 reverse index, the deliberate contrast with the sparse O(m) path.
 """
 
 from array import array
 from dataclasses import dataclass
-from time import perf_counter
 
-from .automaton import MinimizeStats, PtDfa, canonicalize
-from .preprocess import empty_dfa, relevant_states, restrict
+from .automaton import MinimizeStats, PtDfa
+from .minimizer import _pipeline
 
 __all__ = ["CompletedDfa", "sink_complete", "hopcroft_minimize"]
 
@@ -134,48 +135,23 @@ def _refine_total(c: CompletedDfa):
     return blocks, block_of, splits, touches
 
 
+def _refine_completed(dp: PtDfa, stats: MinimizeStats) -> list:
+    """The completed-table refiner: the final block of each state of
+    ``dp``, without the sink's block."""
+    c = sink_complete(dp)
+    blocks, block_of, stats.splits, stats.splitter_touches = _refine_total(c)
+    sink_block = block_of.pop()
+    # Preprocessing left every state a nonempty language, so none shares
+    # the sink's block.
+    assert len(blocks[sink_block]) == 1
+    return [b - (b > sink_block) for b in block_of]
+
+
 def hopcroft_minimize(d: PtDfa):
     """Minimize via the completed-table baseline.
 
     Returns (out, stats); ``out`` is canonical and identical to what the
     sparse minimizer produces.
     """
-    t0 = perf_counter()
-    stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
-    dp = restrict(d, relevant_states(d))
-    stats.n_core = dp.n
-    stats.m_core = dp.m
-    if not dp.finals:
-        out = empty_dfa(d.alpha)
-        stats.n_out = out.n
-        stats.seconds = perf_counter() - t0
-        return out, stats
-    c = sink_complete(dp)
-    blocks, block_of, splits, touches = _refine_total(c)
-    stats.splits = splits
-    stats.splitter_touches = touches
-
-    sink_block = block_of[c.sink]
-    assert len(blocks[sink_block]) == 1
-    new_id = {}
-    for b in range(len(blocks)):
-        if b != sink_block:
-            new_id[b] = len(new_id)
-    triples = []
-    for b, members in enumerate(blocks):
-        if b == sink_block:
-            continue
-        rep = min(members)
-        row = c.table[rep]
-        for a in range(c.alpha):
-            hb = block_of[row[a]]
-            if hb != sink_block:
-                triples.append((new_id[b], a, new_id[hb]))
-    finals = {new_id[block_of[q]] for q in dp.finals}
-    out = PtDfa.from_triples(len(new_id), dp.alpha, triples,
-                             new_id[block_of[dp.initial]], finals)
-    out = canonicalize(out)
-    stats.n_out = out.n
-    stats.m_out = out.m
-    stats.seconds = perf_counter() - t0
+    _, _, out, stats = _pipeline(d, _refine_completed)
     return out, stats

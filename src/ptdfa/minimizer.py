@@ -10,13 +10,19 @@ transition sets and each freshly created set joins the worklist; a set
 left whole keeps its index and its worklist status.  Rescanning only the
 smaller half bounds the number of times any transition is revisited by
 log n, for O(m log n) total work and O(m) memory.
+
+This refinement and the completed-table baseline of
+:mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
+refiner: dead-state removal, the empty-language answer, the refiner's
+final block of each state, then ``canonicalize``, which builds the
+canonical quotient straight from those blocks.
 """
 
 from array import array
 from time import perf_counter
 
-from .automaton import MinimizeStats, PtDfa, canonicalize
-from .preprocess import bucket_by, empty_dfa, relevant_states, restrict
+from .automaton import MinimizeStats, PtDfa, bucket_by, canonicalize
+from .preprocess import empty_dfa, relevant_states, restrict
 from .refinable_partition import RefinablePartition
 from .splitter_init import init_trp_grouping
 
@@ -219,51 +225,43 @@ class Refinement:
                 split_block(touched_remove())
         self.splitter_touches += touches
 
-    def release_index(self) -> None:
-        """Drop the transition partition, reverse index and worklists
-        once the blocks are final, so quotient building runs against a
-        smaller live set."""
-        self.trp = None
-        self.in_order = self.in_first = self.in_end = None
-        self.unready = self.touched_blocks = self.touched_spls = None
 
+def _pipeline(d: PtDfa, refine):
+    """The minimization steps shared by every refiner.
 
-def _quotient(dp: PtDfa, brp: RefinablePartition) -> PtDfa:
-    """Collapse each block to one state, copying the transitions of one
-    representative per block."""
-    nblocks = brp.sets
-    bsidx = brp.sidx
-    belems = brp.elems
-    bfirst = brp.first
-    is_rep = bytearray(dp.n)
-    for b in range(nblocks):
-        is_rep[belems[bfirst[b]]] = 1
-    tails = array("i")
-    labels = array("i")
-    heads = array("i")
-    for t, a, h in zip(dp.tails, dp.labels, dp.heads):
-        if is_rep[t]:
-            tails.append(bsidx[t])
-            labels.append(a)
-            heads.append(bsidx[h])
-    finals = frozenset(bsidx[q] for q in dp.finals)
-    return PtDfa(nblocks, dp.alpha, tails, labels, heads, bsidx[dp.initial],
-                 finals)
-
-
-def _run(d: PtDfa, worklist: str, hook):
+    Removes dead states, answers an empty language with the one-state
+    empty automaton, and otherwise calls ``refine(dp, stats)`` on the
+    preprocessed automaton ``dp``.  The refiner fills its counters into
+    ``stats`` and returns the final block of each state of ``dp``,
+    numbered densely from 0; the result is the canonical quotient by
+    those blocks.  Returns ``(dp, blocks, out, stats)``, with ``blocks``
+    None when no refinement ran.
+    """
+    t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
     dp = restrict(d, relevant_states(d))
     stats.n_core = dp.n
     stats.m_core = dp.m
-    if not dp.finals:
-        return dp, None, stats
+    if dp.finals:
+        blocks = refine(dp, stats)
+        out = canonicalize(dp, blocks)
+    else:
+        blocks = None
+        out = empty_dfa(d.alpha)
+    stats.n_out = out.n
+    stats.m_out = out.m
+    stats.seconds = perf_counter() - t0
+    return dp, blocks, out, stats
+
+
+def _refine(dp: PtDfa, stats: MinimizeStats, worklist: str, hook) -> list:
+    """The two-partition refiner: the final block of each state."""
     ref = Refinement(dp, worklist=worklist)
     ref.run(hook)
     stats.splits = ref.block_splits
     stats.splitter_touches = ref.splitter_touches
     stats.small_half_touches = ref.small_half_touches
-    return dp, ref, stats
+    return ref.brp.sidx
 
 
 def minimize_with_stats(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
@@ -276,16 +274,8 @@ def minimize_with_stats(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
     the processing order ("lifo" or "fifo"); the result is identical
     either way.
     """
-    t0 = perf_counter()
-    dp, ref, stats = _run(d, worklist, loop_hook)
-    if ref is None:
-        out = empty_dfa(d.alpha)
-    else:
-        ref.release_index()
-        out = canonicalize(_quotient(dp, ref.brp))
-    stats.n_out = out.n
-    stats.m_out = out.m
-    stats.seconds = perf_counter() - t0
+    _, _, out, stats = _pipeline(
+        d, lambda dp, stats: _refine(dp, stats, worklist, loop_hook))
     return out, stats
 
 
@@ -296,12 +286,12 @@ def minimize(d: PtDfa, *, worklist: str = "lifo") -> PtDfa:
 
 
 def final_blocks(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
-    """Run the refinement without building the quotient.
+    """Run the refinement and report its final partition.
 
     Returns ``(dp, blocks, stats)``: the preprocessed automaton, the
     final block index of each of its states (None when the language is
     empty and no refinement ran), and the instrumentation.
     """
-    dp, ref, stats = _run(d, worklist, loop_hook)
-    blocks = None if ref is None else [ref.brp.set_of(q) for q in range(dp.n)]
+    dp, blocks, _, stats = _pipeline(
+        d, lambda dp, stats: _refine(dp, stats, worklist, loop_hook))
     return dp, blocks, stats

@@ -8,7 +8,7 @@ nonempty language, which the minimizer's splitting logic relies on.
 
 from array import array
 
-from .automaton import AutomatonError, PtDfa
+from .automaton import AutomatonError, PtDfa, bucket_by
 
 __all__ = ["InitialNotRetainedError", "bucket_by", "relevant_states",
            "restrict", "empty_dfa"]
@@ -16,28 +16,6 @@ __all__ = ["InitialNotRetainedError", "bucket_by", "relevant_states",
 
 class InitialNotRetainedError(AutomatonError):
     """restrict() requires the kept set to contain the initial state."""
-
-
-def bucket_by(keys, nbins: int):
-    """Group indices 0..len(keys)-1 by key with one counting-sort pass.
-
-    Returns (order, first, end): the indices whose key is b occupy
-    order[first[b]:end[b]].  O(len(keys) + nbins).
-    """
-    counts = [0] * nbins
-    for k in keys:
-        counts[k] += 1
-    first = [0] * nbins
-    total = 0
-    for b in range(nbins):
-        first[b] = total
-        total += counts[b]
-    cursor = first.copy()
-    order = array("i", bytes(4 * len(keys)))
-    for i, k in enumerate(keys):
-        order[cursor[k]] = i
-        cursor[k] += 1
-    return order, first, cursor
 
 
 def relevant_states(d: PtDfa) -> set:

@@ -1,12 +1,13 @@
 """Shared test utilities: a naive reference partition, the line-by-line
-reference parser, brute-force language tools, and the exhaustive
-tiny-automaton sweep."""
+reference parser, a plain breadth-first reference renumbering,
+brute-force language tools, and the exhaustive tiny-automaton sweep."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ptdfa import (
-    ParseError, PtDfa, ValidationError, hopcroft_minimize, minimize_with_stats,
+    ParseError, PtDfa, UnreachableStateError, ValidationError,
+    hopcroft_minimize, minimize_with_stats,
 )
 from ptdfa.oracle import oracle_minimize
 
@@ -149,6 +150,27 @@ def reference_parse(text: str):
             raise ParseError(lineno, "final-state line must be a single state")
         finals.append(_int_token(tokens[0], lineno))
     return reference_validate(n, alpha, triples, initial, finals)
+
+
+def reference_canonicalize(d):
+    """Plain breadth-first reference for ``canonicalize(d)``: each
+    state's outgoing transitions are sorted by label with ``sorted``."""
+    out = {}
+    for t, a, h in zip(d.tails, d.labels, d.heads):
+        out.setdefault(t, []).append((a, h))
+    new_of = {d.initial: 0}
+    queue = [d.initial]
+    for q in queue:
+        for _, h in sorted(out.get(q, [])):
+            if h not in new_of:
+                new_of[h] = len(queue)
+                queue.append(h)
+    if len(queue) != d.n:
+        raise UnreachableStateError(f"{d.n - len(queue)} unreachable state(s)")
+    triples = sorted((new_of[t], a, new_of[h])
+                     for t, a, h in zip(d.tails, d.labels, d.heads))
+    return PtDfa.from_triples(d.n, d.alpha, triples, 0,
+                              {new_of[q] for q in d.finals})
 
 
 def all_words(alpha, max_len):

@@ -1,14 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 from ptdfa import (
     AutomatonError, ParseError, PtDfa, UnreachableStateError, ValidationError,
-    accepts, canonicalize, generate, is_isomorphic, parse, restrict, serialize,
-    validate,
+    accepts, canonicalize, final_blocks, generate, is_isomorphic, parse,
+    restrict, serialize, validate,
 )
 
-from helpers import reference_parse, reference_validate
+from helpers import reference_canonicalize, reference_parse, reference_validate
 
 
 def _reachable_part(d):
@@ -207,6 +208,11 @@ def test_validate_refuses_values_beyond_int32():
         "head 2147483648 out of range in transition #0",
         "tail -2147483649 out of range in transition #1"]
     assert validate(big - 1, 1, [(big - 2, 0, 0)], 0, [big - 2]).n == big - 1
+    # more digits than str() converts; shortened as parse shortens them
+    with pytest.raises(ValidationError) as exc:
+        validate(2, 1, [(0, 0, 10**5000)], 0, [])
+    assert exc.value.diagnostics == [
+        "head 10000000000000000000...(5001 digits) out of range in transition #0"]
 
 
 def test_unsorted_input_reserializes_sorted():
@@ -258,6 +264,72 @@ def test_canonicalize_requires_reachability():
     d = PtDfa.from_triples(2, 1, [], 0, {1})
     with pytest.raises(UnreachableStateError):
         canonicalize(d)
+
+
+def test_canonicalize_allocates_nothing_per_label():
+    d = PtDfa.from_triples(2, 10**7, [(0, 10**7 - 1, 1)], 0, {1})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = canonicalize(d)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert c == d
+    assert peak < 2**20
+
+
+def _shuffled(d, rng):
+    """``d`` with its states renamed at random (the initial state
+    included) and its transitions in random order."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    triples = [(perm[t], a, perm[h]) for t, a, h in d.transitions()]
+    rng.shuffle(triples)
+    return PtDfa.from_triples(d.n, d.alpha, triples, perm[d.initial],
+                              {perm[q] for q in d.finals})
+
+
+def test_canonicalize_agrees_with_reference():
+    rng = random.Random(37)
+    cases = [generate(1, 1, 0.5, 0, seed=0), generate(1, 3, 0.1, 1, seed=1)]
+    assert [d.m for d in cases] == [0, 0]
+    for i in range(200):
+        n = rng.randrange(1, 30)
+        cases.append(_reachable_part(generate(
+            n, rng.choice([1, 1, 2, 3, 7]), rng.choice([0.1, 0.4, 1.0]),
+            rng.randrange(0, min(n, 3) + 1), seed=400 + i)))
+    for d in cases:
+        d = _shuffled(d, rng)
+        assert canonicalize(d) == reference_canonicalize(d)
+
+
+def _naive_quotient(dp, blocks):
+    """Quotient by ``blocks`` with the smallest member of each block as
+    its representative."""
+    rep = {}
+    for q, b in enumerate(blocks):
+        rep.setdefault(b, q)
+    triples = [(blocks[t], a, blocks[h]) for t, a, h in dp.transitions()
+               if rep[blocks[t]] == t]
+    return PtDfa.from_triples(len(rep), dp.alpha, triples, blocks[dp.initial],
+                              {blocks[q] for q in dp.finals})
+
+
+def test_canonicalize_of_blocks_is_the_canonical_quotient():
+    rng = random.Random(41)
+    checked = 0
+    for i in range(200):
+        n = rng.randrange(1, 25)
+        d = generate(n, rng.choice([1, 2, 3, 5]), rng.choice([0.2, 0.5, 1.0]),
+                     rng.randrange(0, n + 1), seed=700 + i)
+        dp, blocks, _ = final_blocks(_shuffled(d, rng))
+        if blocks is None:
+            continue
+        checked += len(set(blocks)) < dp.n
+        assert canonicalize(dp, blocks) == reference_canonicalize(
+            _naive_quotient(dp, blocks))
+    assert checked >= 10  # instances where some states merged
 
 
 def test_isomorphism_reflexive():
