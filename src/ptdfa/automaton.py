@@ -9,7 +9,7 @@ boundary.  Values are immutable once built and safe to share.
 
 import json
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add, mul
 
@@ -461,7 +461,9 @@ class MinimizeStats:
     ``n_core``/``m_core`` are the sizes after dead-state removal; the
     scan counters are bounded by them: splitter scan touches stay within
     m*(floor(lg n) + 1) and smaller-half rescan touches within
-    m*floor(lg n) + m.
+    m*floor(lg n) + m.  ``phases`` maps each step of the minimization
+    pipeline (``preprocess``, ``refine``, ``canonicalize``) to its
+    seconds; the phases add up to ``seconds``.
     """
 
     n_in: int = 0
@@ -475,6 +477,7 @@ class MinimizeStats:
     splitter_touches: int = 0
     small_half_touches: int = 0
     seconds: float = 0.0
+    phases: dict = field(default_factory=dict)
 
     def within_scan_bounds(self) -> bool:
         """Check the guaranteed worst-case scan counts."""
@@ -498,4 +501,4 @@ class MinimizeStats:
             f"splitter_touches={self.splitter_touches}",
             f"small_half_touches={self.small_half_touches}",
             f"seconds={self.seconds:.6f}",
-        ]
+        ] + [f"phase.{name}={sec:.6f}" for name, sec in self.phases.items()]

@@ -11,6 +11,15 @@ left whole keeps its index and its worklist status.  Rescanning only the
 smaller half bounds the number of times any transition is revisited by
 log n, for O(m log n) total work and O(m) memory.
 
+The two inner loops avoid a call per element.  A state in a singleton
+block, or a transition in a singleton transition set, is never marked:
+its split could only be trivial.  A touched block or set that ended up
+marked whole has its marks cleared in place; only a real split calls
+``split_block`` (blocks) or is carried out inline (transition sets).
+The counters still count every skipped or cleared trivial split as a
+split call of its partition, so ``split_calls`` reads the same as if
+each touched set had been passed to ``RefinablePartition.split``.
+
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
 refiner: dead-state removal, the empty-language answer, the refiner's
@@ -85,8 +94,6 @@ class Refinement:
         self.dp = dp
         self.brp = RefinablePartition(dp.n)
         self.unready = SimpleSet(fifo=(worklist == "fifo"))
-        self.touched_blocks = SimpleSet()
-        self.touched_spls = SimpleSet()
         self.block_splits = 0
         self.splitter_touches = 0
         self.small_half_touches = 0
@@ -118,7 +125,9 @@ class Refinement:
         marks.  Otherwise the half with fewer states is rescanned, ties
         going to the marked (new) half: its incoming transitions move
         into fresh transition sets, and every fresh set joins the
-        worklist.
+        worklist.  The transition sets are split here, not through
+        ``trp.split``; a singleton set is never marked, and it and a
+        set marked whole are counted as trivial ``trp`` split calls.
         """
         brp = self.brp
         b2 = brp.split(b)
@@ -130,8 +139,6 @@ class Refinement:
         trp = self.trp
         if trp is None:
             return
-        touched = self.touched_spls
-        assert touched.empty()
         in_order = self.in_order
         in_first = self.in_first
         in_end = self.in_end
@@ -140,35 +147,58 @@ class Refinement:
         tsidx = trp.sidx
         tfirst = trp.first
         tmid = trp.mid
-        belems = brp.elems
-        touched_add = touched.add
+        tend = trp.end
+        touched = []
+        touched_add = touched.append
+        trivial = 0
         touches = 0
-        for posq in range(brp.first[b2], brp.end[b2]):
-            q = belems[posq]
-            for k in range(in_first[q], in_end[q]):
-                t = in_order[k]
+        for q in brp.elems[brp.first[b2]:brp.end[b2]]:
+            f = in_first[q]
+            e = in_end[q]
+            touches += e - f
+            for t in in_order[f:e]:
                 p = tsidx[t]
-                if tmid[p] == tfirst[p]:
-                    touched_add(p)
-                # Mark t inside its transition set (inlined for speed).
-                lt = tloc[t]
                 mm = tmid[p]
-                if lt >= mm:
-                    other = telems[mm]
-                    telems[lt] = other
-                    tloc[other] = lt
-                    telems[mm] = t
-                    tloc[t] = mm
-                    tmid[p] = mm + 1
-                touches += 1
+                if mm == tfirst[p]:
+                    if tend[p] == mm + 1:
+                        trivial += 1
+                        continue
+                    touched_add(p)
+                # Mark t inside its transition set; it is unmarked,
+                # since a rescan reaches each transition once.
+                lt = tloc[t]
+                other = telems[mm]
+                telems[lt] = other
+                tloc[other] = lt
+                telems[mm] = t
+                tloc[t] = mm
+                tmid[p] = mm + 1
         self.small_half_touches += touches
+        # Split the touched sets in the reverse order of their first
+        # touch: the marked prefix of a partially marked set becomes
+        # the next fresh set and joins the worklist.
         unready_add = self.unready.add
-        trp_split = trp.split
-        touched_remove = touched.remove
-        while not touched.empty():
-            p2 = trp_split(touched_remove())
-            if p2 is not None:
-                unready_add(p2)
+        new = trp.sets
+        steps = 0
+        for p in reversed(touched):
+            f = tfirst[p]
+            mm = tmid[p]
+            if mm == tend[p]:
+                tmid[p] = f
+                trivial += 1
+                continue
+            tfirst[new] = f
+            tmid[new] = f
+            tend[new] = mm
+            tfirst[p] = mm
+            for t in telems[f:mm]:
+                tsidx[t] = new
+            steps += mm - f
+            unready_add(new)
+            new += 1
+        trp.split_calls += trivial + new - trp.sets
+        trp.split_steps += steps
+        trp.sets = new
 
     def run(self, hook=None) -> None:
         """Split off the final states, then refine until the worklist
@@ -185,45 +215,56 @@ class Refinement:
         telems = trp.elems
         tfirst = trp.first
         tend = trp.end
-        tails = dp.tails
+        tail_of = dp.tails.__getitem__
         belems = brp.elems
         bloc = brp.loc
         bsidx = brp.sidx
         bfirst = brp.first
         bmid = brp.mid
+        bend = brp.end
         unready = self.unready
         ur_empty = unready.empty
         ur_remove = unready.remove
-        touched = self.touched_blocks
-        touched_add = touched.add
-        touched_empty = touched.empty
-        touched_remove = touched.remove
         split_block = self.split_block
+        touched = []
+        touched_add = touched.append
+        trivial = 0
         touches = 0
         while not ur_empty():
-            assert touched_empty()
             if hook is not None:
                 hook(self)
             p = ur_remove()
-            for pos in range(tfirst[p], tend[p]):
-                q = tails[telems[pos]]
+            f = tfirst[p]
+            e = tend[p]
+            touches += e - f
+            for q in map(tail_of, telems[f:e]):
                 b = bsidx[q]
-                if bmid[b] == bfirst[b]:
-                    touched_add(b)
-                # Mark q inside its block (inlined for speed).
-                lq = bloc[q]
                 mm = bmid[b]
-                if lq >= mm:
-                    other = belems[mm]
-                    belems[lq] = other
-                    bloc[other] = lq
-                    belems[mm] = q
-                    bloc[q] = mm
-                    bmid[b] = mm + 1
-                touches += 1
-            while not touched_empty():
-                split_block(touched_remove())
+                if mm == bfirst[b]:
+                    if bend[b] == mm + 1:
+                        trivial += 1
+                        continue
+                    touched_add(b)
+                # Mark q inside its block; it is unmarked, since the
+                # tails of one transition set are distinct.
+                lq = bloc[q]
+                other = belems[mm]
+                belems[lq] = other
+                bloc[other] = lq
+                belems[mm] = q
+                bloc[q] = mm
+                bmid[b] = mm + 1
+            if touched:
+                # Split in the reverse order of first touch.
+                for b in reversed(touched):
+                    if bmid[b] == bend[b]:
+                        bmid[b] = bfirst[b]
+                        trivial += 1
+                    else:
+                        split_block(b)
+                touched.clear()
         self.splitter_touches += touches
+        brp.split_calls += trivial
 
 
 def _pipeline(d: PtDfa, refine):
@@ -235,22 +276,29 @@ def _pipeline(d: PtDfa, refine):
     ``stats`` and returns the final block of each state of ``dp``,
     numbered densely from 0; the result is the canonical quotient by
     those blocks.  Returns ``(dp, blocks, out, stats)``, with ``blocks``
-    None when no refinement ran.
+    None when no refinement ran; ``stats.phases`` holds the seconds of
+    the preprocessing, the refiner call and the quotient.
     """
     t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
     dp = restrict(d, relevant_states(d))
     stats.n_core = dp.n
     stats.m_core = dp.m
+    t1 = perf_counter()
     if dp.finals:
         blocks = refine(dp, stats)
+        t2 = perf_counter()
         out = canonicalize(dp, blocks)
     else:
         blocks = None
+        t2 = t1
         out = empty_dfa(d.alpha)
+    t3 = perf_counter()
     stats.n_out = out.n
     stats.m_out = out.m
-    stats.seconds = perf_counter() - t0
+    stats.phases = {"preprocess": t1 - t0, "refine": t2 - t1,
+                    "canonicalize": t3 - t2}
+    stats.seconds = t3 - t0
     return dp, blocks, out, stats
 
 

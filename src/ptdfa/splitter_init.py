@@ -5,11 +5,12 @@ Refinement starts from one transition set per label.  Two builders:
 * ``init_trp_presorted`` assumes equal labels arrive contiguously and
   uses only the partition's own mark/split machinery, touching no
   per-label storage.
-* ``init_trp_grouping`` handles any input order in O(m) time using a
-  label-indexed scratch array whose prior contents are never trusted:
-  every lookup is validated before use, so a recycled (even garbage)
-  buffer cannot corrupt the grouping.
+* ``init_trp_grouping`` handles any input order in O(m) time and
+  memory, independent of the alphabet size.
 """
+
+from array import array
+from collections import Counter
 
 from .automaton import AutomatonError
 from .refinable_partition import RefinablePartition
@@ -49,59 +50,44 @@ def init_trp_presorted(labels, compact: bool = True) -> RefinablePartition:
     return rp
 
 
-def init_trp_grouping(labels, alpha: int, scratch=None,
+def init_trp_grouping(labels, alpha: int,
                       compact: bool = True) -> RefinablePartition:
     """One partition set per distinct label, any input order.
 
-    Counts each label's occurrences, lays the groups out back to back,
-    then places every transition, all in O(m) time plus the single
-    O(alpha) scratch allocation.  ``scratch`` may be any int buffer of
-    length >= alpha; its existing contents are ignored semantically (a
-    stale entry must both point inside the groups built so far and name
-    this exact label to be believed, which a foreign value cannot).
-    The partition's own mid/end fields serve as counters during
-    construction; all invariants hold again on return.
+    Set i holds the transitions of the i-th distinct label in order of
+    first appearance, laid out back to back, each set in descending
+    transition order.  O(m) time and memory: the set of each label is
+    looked up in a dict of the labels that occur, so no storage grows
+    with ``alpha``.
     """
     m = len(labels)
     if m == 0:
         raise ValueError("no transitions to partition")
-    if scratch is None:
-        scratch = [0] * alpha
-    elif len(scratch) < alpha:
-        raise ValueError("scratch buffer shorter than the alphabet")
+    if min(labels) < 0 or max(labels) >= alpha:
+        bad = next(a for a in labels if not 0 <= a < alpha)
+        raise AutomatonError(f"label {bad} out of range 0..{alpha - 1}")
+    counts = Counter(labels)  # keys in order of first appearance
+    index = {}
     rp = RefinablePartition(m, compact=compact)
     first = rp.first
     mid = rp.mid
     end = rp.end
-    sets = 0
-    for t in range(m):
-        a = labels[t]
-        if not 0 <= a < alpha:
-            raise AutomatonError(f"label {a} out of range 0..{alpha - 1}")
-        i = scratch[a]
-        if i < 0 or i >= sets or mid[i] != a:
-            i = sets
-            sets += 1
-            scratch[a] = i
-            mid[i] = a
-            end[i] = 1
-        else:
-            end[i] += 1
-    first[0] = 0
-    mid[0] = end[0]
-    for i in range(1, sets):
-        first[i] = end[i - 1]
-        end[i] = first[i] + end[i]
-        mid[i] = end[i]
+    total = 0
+    for i, (a, c) in enumerate(counts.items()):
+        index[a] = i
+        first[i] = total
+        total += c
+        end[i] = total
+        mid[i] = total
     elems = rp.elems
     loc = rp.loc
     sidx = rp.sidx
-    for t in range(m):
-        i = scratch[labels[t]]
+    sidx[:] = array("i", map(index.__getitem__, labels))
+    # mid counts down from end while each set is filled.
+    for t, i in enumerate(sidx):
         pos = mid[i] - 1
         mid[i] = pos
         elems[pos] = t
         loc[t] = pos
-        sidx[t] = i
-    rp.sets = sets
+    rp.sets = len(counts)
     return rp

@@ -1,13 +1,14 @@
 """Shared test utilities: a naive reference partition, the line-by-line
-reference parser, a plain breadth-first reference renumbering,
-brute-force language tools, and the exhaustive tiny-automaton sweep."""
+reference parser, a plain breadth-first reference renumbering, the
+call-per-split reference refinement loop, brute-force language tools,
+and the exhaustive tiny-automaton sweep."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ptdfa import (
-    ParseError, PtDfa, UnreachableStateError, ValidationError,
-    hopcroft_minimize, minimize_with_stats,
+    ParseError, PtDfa, Refinement, SimpleSet, UnreachableStateError,
+    ValidationError, hopcroft_minimize, minimize_with_stats,
 )
 from ptdfa.oracle import oracle_minimize
 
@@ -171,6 +172,134 @@ def reference_canonicalize(d):
                      for t, a, h in zip(d.tails, d.labels, d.heads))
     return PtDfa.from_triples(d.n, d.alpha, triples, 0,
                               {new_of[q] for q in d.finals})
+
+
+class ReferenceRefinement(Refinement):
+    """Reference for ``Refinement.run``/``split_block``: every splitter
+    touch marks its state and every touched block and transition set
+    goes through ``split_block``/``trp.split``, trivial splits included.
+    The real splits, the worklist order and every counter must come out
+    the same as the refinement loop's."""
+
+    def __init__(self, dp, worklist="lifo"):
+        super().__init__(dp, worklist)
+        self.touched_blocks = SimpleSet()
+        self.touched_spls = SimpleSet()
+
+    def split_block(self, b: int) -> None:
+        """Split block ``b`` along its marks and requeue affected
+        transition sets.
+
+        A trivial split (nothing or everything marked) only clears the
+        marks.  Otherwise the half with fewer states is rescanned, ties
+        going to the marked (new) half: its incoming transitions move
+        into fresh transition sets, and every fresh set joins the
+        worklist.
+        """
+        brp = self.brp
+        b2 = brp.split(b)
+        if b2 is None:
+            return
+        self.block_splits += 1
+        if brp.size(b) < brp.size(b2):
+            b2 = b
+        trp = self.trp
+        if trp is None:
+            return
+        touched = self.touched_spls
+        assert touched.empty()
+        in_order = self.in_order
+        in_first = self.in_first
+        in_end = self.in_end
+        telems = trp.elems
+        tloc = trp.loc
+        tsidx = trp.sidx
+        tfirst = trp.first
+        tmid = trp.mid
+        belems = brp.elems
+        touched_add = touched.add
+        touches = 0
+        for posq in range(brp.first[b2], brp.end[b2]):
+            q = belems[posq]
+            for k in range(in_first[q], in_end[q]):
+                t = in_order[k]
+                p = tsidx[t]
+                if tmid[p] == tfirst[p]:
+                    touched_add(p)
+                # Mark t inside its transition set (inlined for speed).
+                lt = tloc[t]
+                mm = tmid[p]
+                if lt >= mm:
+                    other = telems[mm]
+                    telems[lt] = other
+                    tloc[other] = lt
+                    telems[mm] = t
+                    tloc[t] = mm
+                    tmid[p] = mm + 1
+                touches += 1
+        self.small_half_touches += touches
+        unready_add = self.unready.add
+        trp_split = trp.split
+        touched_remove = touched.remove
+        while not touched.empty():
+            p2 = trp_split(touched_remove())
+            if p2 is not None:
+                unready_add(p2)
+
+    def run(self, hook=None) -> None:
+        """Split off the final states, then refine until the worklist
+        drains.  ``hook(self)``, if given, fires at the top of every
+        worklist round."""
+        dp = self.dp
+        brp = self.brp
+        for q in sorted(dp.finals):
+            brp.mark(q)
+        self.split_block(0)
+        trp = self.trp
+        if trp is None:
+            return
+        telems = trp.elems
+        tfirst = trp.first
+        tend = trp.end
+        tails = dp.tails
+        belems = brp.elems
+        bloc = brp.loc
+        bsidx = brp.sidx
+        bfirst = brp.first
+        bmid = brp.mid
+        unready = self.unready
+        ur_empty = unready.empty
+        ur_remove = unready.remove
+        touched = self.touched_blocks
+        touched_add = touched.add
+        touched_empty = touched.empty
+        touched_remove = touched.remove
+        split_block = self.split_block
+        touches = 0
+        while not ur_empty():
+            assert touched_empty()
+            if hook is not None:
+                hook(self)
+            p = ur_remove()
+            for pos in range(tfirst[p], tend[p]):
+                q = tails[telems[pos]]
+                b = bsidx[q]
+                if bmid[b] == bfirst[b]:
+                    touched_add(b)
+                # Mark q inside its block (inlined for speed).
+                lq = bloc[q]
+                mm = bmid[b]
+                if lq >= mm:
+                    other = belems[mm]
+                    belems[lq] = other
+                    bloc[other] = lq
+                    belems[mm] = q
+                    bloc[q] = mm
+                    bmid[b] = mm + 1
+                touches += 1
+            while not touched_empty():
+                split_block(touched_remove())
+        self.splitter_touches += touches
 
 
 def all_words(alpha, max_len):

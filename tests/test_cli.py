@@ -96,6 +96,7 @@ def test_minimize_stats_go_to_stderr():
     assert r.stdout == HEADER_ONLY
     assert "splitter_touches=0" in r.stderr
     assert "n_out=1" in r.stderr
+    assert "phase.refine=" in r.stderr
 
 
 def test_generate_deterministic_bytes(tmp_path: Path):

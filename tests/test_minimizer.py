@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 
 from ptdfa import (
     PtDfa, Refinement, SimpleSet, accepts, empty_dfa, final_blocks, generate,
-    is_isomorphic, minimize, minimize_with_stats, oracle_minimize,
-    relevant_states, restrict, serialize,
+    hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
+    oracle_minimize, relevant_states, restrict, serialize,
 )
 from ptdfa.oracle import language_partition
 
 from helpers import (
-    all_words, final_partition_violations, worklist_invariant_ok,
+    ReferenceRefinement, all_words, final_partition_violations,
+    worklist_invariant_ok,
 )
 
 
@@ -103,6 +105,64 @@ def test_split_block_whole_splitter_keeps_index_and_status():
     assert ref.trp.no_marks(a_set)
     assert ref.trp.sets == 3
     assert ref.unready.items() == [ref.trp.set_of(2)]
+
+
+def _ring(small, copies):
+    """``copies`` copies of ``small`` in a ring: state (i, q) goes on
+    label a to ((i+1) mod copies, delta(q, a)), so the copies of each
+    state merge."""
+    s = small.n
+    triples = [(i * s + t, a, (i + 1) % copies * s + h)
+               for i in range(copies)
+               for t, a, h in small.transitions()]
+    finals = {i * s + q for i in range(copies) for q in small.finals}
+    return PtDfa.from_triples(copies * s, small.alpha, triples,
+                              small.initial, finals)
+
+
+def _refinement_cases():
+    yield generate(1, 1, 0.1, 1, seed=0)  # n = 1, m = 0
+    rng = random.Random(12)
+    for i in range(320):
+        n = rng.randrange(1, 25)
+        yield generate(n, rng.randrange(1, 5),
+                       rng.choice([0.2, 0.5, 0.8, 1.0]),
+                       rng.randrange(0, n + 1), seed=12_000 + i)
+    for i in range(6):
+        yield _ring(generate(6, 2, 0.8, 3, seed=12_500 + i), 3 + i)
+
+
+def _refinement_result(ref):
+    trp = ref.trp
+    return (ref.brp.dump(), list(ref.brp.sidx), ref.unready.items(),
+            ref.block_splits, ref.splitter_touches, ref.small_half_touches,
+            ref.brp.split_calls, ref.brp.split_steps,
+            None if trp is None else
+            (trp.dump(), trp.sets, trp.split_calls, trp.split_steps))
+
+
+@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
+def test_refinement_loop_matches_call_per_split_reference(worklist):
+    covered = set()
+    for d in _refinement_cases():
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        runs = []
+        for cls in (Refinement, ReferenceRefinement):
+            ref = cls(dp, worklist=worklist)
+            rounds = []
+            ref.run(lambda r: rounds.append(
+                (r.unready.items(), r.brp.dump(), r.block_splits)))
+            runs.append((rounds, _refinement_result(ref)))
+        assert runs[0] == runs[1]
+        if dp.n == 1 and dp.m == 0:
+            covered.add("n=1, m=0")
+        if dp.alpha == 1:
+            covered.add("alpha=1")
+        if ref.brp.sets < dp.n:
+            covered.add("merge")
+    assert covered == {"n=1, m=0", "alpha=1", "merge"}
 
 
 # -- minimize -----------------------------------------------------------------
@@ -201,6 +261,20 @@ def test_stats_reports_sizes():
     assert stats.seconds >= 0.0
 
 
+def test_stats_time_each_pipeline_phase():
+    empty = PtDfa.from_triples(3, 2, [(0, 0, 1)], 0, set())
+    for d in (generate(60, 3, 0.5, 30, seed=124), empty):
+        for run in (minimize_with_stats, hopcroft_minimize):
+            _, stats = run(d)
+            assert list(stats.phases) == ["preprocess", "refine",
+                                          "canonicalize"]
+            assert min(stats.phases.values()) >= 0.0
+            assert sum(stats.phases.values()) <= stats.seconds
+            lines = stats.as_lines()
+            assert lines[-3:] == [f"phase.{name}={sec:.6f}"
+                                  for name, sec in stats.phases.items()]
+
+
 def test_final_blocks_satisfy_both_partition_conditions():
     rng = random.Random(10)
     for i in range(120):
@@ -227,6 +301,19 @@ def test_worklist_invariant_holds_at_every_round():
 
         final_blocks(d, loop_hook=hook)
         assert all(checked)
+
+
+def test_minimize_allocates_nothing_per_label():
+    d = PtDfa.from_triples(2, 10**7, [(0, 10**7 - 1, 1)], 0, {1})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = minimize(d)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out == d
+    assert peak < 2**20
 
 
 def test_isomorphism_wrapper_on_minimized_results():

@@ -54,28 +54,6 @@ def test_grouping_rejects_out_of_range_label():
         init_trp_grouping([0, 5], alpha=2)
 
 
-def test_grouping_rejects_short_scratch():
-    with pytest.raises(ValueError):
-        init_trp_grouping([0, 1], alpha=2, scratch=[0])
-
-
-def test_grouping_with_poisoned_scratch():
-    """Correctness must not depend on the scratch array's contents."""
-    rng = random.Random(41)
-    for trial in range(200):
-        alpha = rng.randrange(1, 9)
-        m = rng.randrange(1, 40)
-        labels = [rng.randrange(alpha) for _ in range(m)]
-        poison = [rng.randrange(-3, m + 3) for _ in range(alpha)]
-        rp = init_trp_grouping(labels, alpha, scratch=poison)
-        check_partition(rp)
-        sizes = sorted(rp.size(s) for s in range(rp.sets))
-        assert sizes == sorted(Counter(labels).values())
-        for s in range(rp.sets):
-            group_labels = {labels[e] for e in rp.elements(s)}
-            assert len(group_labels) == 1
-
-
 def test_grouping_matches_presorted_partition():
     rng = random.Random(42)
     for trial in range(100):
