@@ -10,8 +10,8 @@ boundary.  Values are immutable once built and safe to share.
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import add, mul
+from itertools import chain, compress, islice, repeat
+from operator import add, lt, mul
 
 __all__ = [
     "AutomatonError", "ValidationError", "ParseError", "UnreachableStateError",
@@ -21,6 +21,8 @@ __all__ = [
 
 
 _INT32_MAX = 2**31 - 1  # indices and counts live in array("i")
+_CHUNK = 4096  # transitions per format call of serialize
+_CHUNK_FORMAT = "%d %d %d\n" * _CHUNK
 
 
 class AutomatonError(ValueError):
@@ -335,15 +337,29 @@ def _text_error(text: str) -> AutomatonError:
 
 def serialize(d: PtDfa) -> str:
     """Emit the bit-exact canonical text: transitions sorted by
-    (tail, label, head), final states ascending, LF line endings."""
+    (tail, label, head), final states ascending, LF line endings.
+
+    The transitions are sorted only when they are not already in
+    strictly increasing (tail, label) order, which one C-level pass
+    checks; ``canonicalize`` and so every minimizer emit them in that
+    order.  Lines are formatted by one ``%`` call per chunk of
+    transitions, which keeps the peak near the size of the text.
+    """
     tails, labels, heads = d.tails, d.labels, d.heads
-    order = sorted(range(d.m), key=lambda i: (tails[i], labels[i], heads[i]))
-    lines = [f"dfa {d.n} {d.alpha} {d.m} {len(d.finals)} {d.initial}"]
-    for i in order:
-        lines.append(f"{tails[i]} {labels[i]} {heads[i]}")
-    for q in sorted(d.finals):
-        lines.append(str(q))
-    return "\n".join(lines) + "\n"
+    if not all(map(lt, zip(tails, labels),
+                   zip(islice(tails, 1, None), islice(labels, 1, None)))):
+        order = sorted(range(d.m),
+                       key=lambda i: (tails[i], labels[i], heads[i]))
+        tails, labels, heads = (array("i", map(col.__getitem__, order))
+                                for col in (tails, labels, heads))
+    flat = chain.from_iterable(zip(tails, labels, heads))
+    full, rest = divmod(d.m, _CHUNK)
+    parts = [f"dfa {d.n} {d.alpha} {d.m} {len(d.finals)} {d.initial}\n"]
+    parts += [_CHUNK_FORMAT % tuple(islice(flat, 3 * _CHUNK))
+              for _ in range(full)]
+    parts.append("%d %d %d\n" * rest % tuple(flat))
+    parts.append("%d\n" * len(d.finals) % tuple(sorted(d.finals)))
+    return "".join(parts)
 
 
 def bucket_by(keys, nbins: int):

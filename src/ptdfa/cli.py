@@ -8,6 +8,7 @@ Subcommands: ``minimize`` an automaton file, ``generate`` random inputs,
 
 import argparse
 import sys
+from time import perf_counter
 
 from .automaton import AutomatonError, is_isomorphic, parse, serialize
 from .oracle import language_equal
@@ -41,11 +42,23 @@ def _usage(message: str) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    d = parse(_read(args.inp))
+    text = _read(args.inp)
+    t0 = perf_counter()
+    d = parse(text)
+    t1 = perf_counter()
     out, stats = ALGORITHMS[args.algo](d)
-    _write(args.out, serialize(out))
+    t2 = perf_counter()
+    text = serialize(out)
+    t3 = perf_counter()
+    _write(args.out, text)
     if args.stats:
-        for line in stats.as_lines():
+        # The minimizer's own lines, with the parse and serialize calls
+        # timed here around them in pipeline order.
+        lines = stats.as_lines()
+        at = len(lines) - len(stats.phases)
+        lines[at:at] = [f"phase.parse={t1 - t0:.6f}"]
+        lines.append(f"phase.serialize={t3 - t2:.6f}")
+        for line in lines:
             print(line, file=sys.stderr)
     return EXIT_OK
 

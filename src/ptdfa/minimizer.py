@@ -11,14 +11,19 @@ left whole keeps its index and its worklist status.  Rescanning only the
 smaller half bounds the number of times any transition is revisited by
 log n, for O(m log n) total work and O(m) memory.
 
-The two inner loops avoid a call per element.  A state in a singleton
-block, or a transition in a singleton transition set, is never marked:
-its split could only be trivial.  A touched block or set that ended up
-marked whole has its marks cleared in place; only a real split calls
-``split_block`` (blocks) or is carried out inline (transition sets).
-The counters still count every skipped or cleared trivial split as a
-split call of its partition, so ``split_calls`` reads the same as if
-each touched set had been passed to ``RefinablePartition.split``.
+The two inner loops avoid a call per element, and a worklist round
+calls no Python function unless a block splits (or a hook is given).
+A state in a singleton block, or a transition in a singleton transition
+set, is never marked: its split could only be trivial.  A round whose
+splitter is one transition, with its tail alone in its block, is
+skipped outright after counting its touch, since nothing can split; on
+nearly minimal inputs that is most rounds.  A touched block or set that
+ended up marked whole has its marks cleared in place; only a real split
+calls ``split_block`` (blocks) or is carried out inline (transition
+sets).  The counters still count every skipped or cleared trivial
+split, the skipped round's included, as a split call of its partition,
+so ``split_calls`` reads the same as if each touched set had been
+passed to ``RefinablePartition.split``.
 
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
@@ -46,30 +51,34 @@ class SimpleSet:
     where it matters.  ``remove`` returns an arbitrary previously added,
     not yet removed number: last-in-first-out normally, queue order with
     ``fifo=True``.
+
+    The numbers live in one ``array('i')``, four bytes each, not in a
+    container of Python ints: a worklist holds up to one entry per
+    transition set, and a ``deque`` or list of int objects doubles the
+    traced peak of ``minimize`` on large inputs.  ``add`` is the array's
+    bound C ``append`` and, without ``fifo``, ``remove`` is its bound
+    ``pop``, so a worklist round makes no Python-level call.  The array
+    is nonempty exactly when the set is, so a loop may test it directly.
     """
 
-    __slots__ = ("_items", "_taken", "_fifo")
+    __slots__ = ("_items", "_taken", "add", "remove")
 
     def __init__(self, fifo: bool = False):
         self._items = array("i")
         self._taken = 0
-        self._fifo = fifo
+        self.add = self._items.append
+        self.remove = self._dequeue if fifo else self._items.pop
 
-    def add(self, i: int) -> None:
-        self._items.append(i)
-
-    def remove(self) -> int:
-        if self._fifo:
-            v = self._items[self._taken]
-            self._taken += 1
-            if self._taken == len(self._items):
-                del self._items[:]
-                self._taken = 0
-            return v
-        return self._items.pop()
+    def _dequeue(self) -> int:
+        v = self._items[self._taken]
+        self._taken += 1
+        if self._taken == len(self._items):
+            del self._items[:]
+            self._taken = 0
+        return v
 
     def empty(self) -> bool:
-        return self._taken >= len(self._items)
+        return not self._items
 
     def __len__(self) -> int:
         return len(self._items) - self._taken
@@ -215,28 +224,34 @@ class Refinement:
         telems = trp.elems
         tfirst = trp.first
         tend = trp.end
-        tail_of = dp.tails.__getitem__
+        tails = dp.tails
+        tail_of = tails.__getitem__
         belems = brp.elems
         bloc = brp.loc
         bsidx = brp.sidx
         bfirst = brp.first
         bmid = brp.mid
         bend = brp.end
-        unready = self.unready
-        ur_empty = unready.empty
-        ur_remove = unready.remove
+        pending = self.unready._items
+        ur_remove = self.unready.remove
         split_block = self.split_block
         touched = []
         touched_add = touched.append
         trivial = 0
         touches = 0
-        while not ur_empty():
+        while pending:
             if hook is not None:
                 hook(self)
             p = ur_remove()
             f = tfirst[p]
             e = tend[p]
             touches += e - f
+            if e - f == 1:
+                b = bsidx[tails[telems[f]]]
+                if bend[b] - bfirst[b] == 1:
+                    # One transition, its tail alone in its block.
+                    trivial += 1
+                    continue
             for q in map(tail_of, telems[f:e]):
                 b = bsidx[q]
                 mm = bmid[b]

@@ -20,8 +20,12 @@ __all__ = ["generate", "bench", "rows_to_csv", "parse_grid", "CSV_COLUMNS",
            "ALGORITHMS"]
 
 CSV_COLUMNS = ["algo", "n", "alpha", "p", "d", "seed", "m_in", "states_out",
-               "trans_out", "splits", "scan_touches", "millis_min",
-               "millis_max", "outcome"]
+               "trans_out", "splits", "splitter_touches", "reverse_touches",
+               "millis_min", "millis_max", "outcome"]
+
+# The column that takes an algorithm's ``MinimizeStats.splitter_touches``:
+# hopcroft counts reverse-index entries of the completed table there.
+_TOUCH_COLUMN = {"valmari": "splitter_touches", "hopcroft": "reverse_touches"}
 
 
 def generate(n: int, alpha: int, p: float, k: int, seed: int) -> PtDfa:
@@ -95,7 +99,8 @@ def bench(cells, algos=("valmari",), seeds=(0,), d_offsets=(-1, 0, 1)):
                     "algo": algo, "n": n, "alpha": alpha, "p": p,
                     "d": report_d, "seed": seed,
                     "m_in": "", "states_out": "", "trans_out": "",
-                    "splits": "", "scan_touches": "",
+                    "splits": "", "splitter_touches": "",
+                    "reverse_touches": "",
                     "millis_min": "", "millis_max": "", "outcome": "ok",
                 }
                 millis = []
@@ -111,7 +116,9 @@ def bench(cells, algos=("valmari",), seeds=(0,), d_offsets=(-1, 0, 1)):
                             row["states_out"] = stats.n_out
                             row["trans_out"] = stats.m_out
                             row["splits"] = stats.splits
-                            row["scan_touches"] = stats.splitter_touches
+                            if algo in _TOUCH_COLUMN:
+                                row[_TOUCH_COLUMN[algo]] = \
+                                    stats.splitter_touches
                     row["millis_min"] = round(min(millis), 3)
                     row["millis_max"] = round(max(millis), 3)
                 except MemoryError:

@@ -1,7 +1,8 @@
 """Shared test utilities: a naive reference partition, the line-by-line
-reference parser, a plain breadth-first reference renumbering, the
-call-per-split reference refinement loop, brute-force language tools,
-and the exhaustive tiny-automaton sweep."""
+reference parser, the sort-every-time reference serializer, a plain
+breadth-first reference renumbering, the call-per-split reference
+refinement loop, brute-force language tools, and the exhaustive
+tiny-automaton sweep."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -151,6 +152,19 @@ def reference_parse(text: str):
             raise ParseError(lineno, "final-state line must be a single state")
         finals.append(_int_token(tokens[0], lineno))
     return reference_validate(n, alpha, triples, initial, finals)
+
+
+def reference_serialize(d: PtDfa) -> str:
+    """Emit the bit-exact canonical text: transitions sorted by
+    (tail, label, head), final states ascending, LF line endings."""
+    tails, labels, heads = d.tails, d.labels, d.heads
+    order = sorted(range(d.m), key=lambda i: (tails[i], labels[i], heads[i]))
+    lines = [f"dfa {d.n} {d.alpha} {d.m} {len(d.finals)} {d.initial}"]
+    for i in order:
+        lines.append(f"{tails[i]} {labels[i]} {heads[i]}")
+    for q in sorted(d.finals):
+        lines.append(str(q))
+    return "\n".join(lines) + "\n"
 
 
 def reference_canonicalize(d):

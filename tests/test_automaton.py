@@ -9,7 +9,10 @@ from ptdfa import (
     restrict, serialize, validate,
 )
 
-from helpers import reference_canonicalize, reference_parse, reference_validate
+from helpers import (
+    reference_canonicalize, reference_parse, reference_serialize,
+    reference_validate,
+)
 
 
 def _reachable_part(d):
@@ -229,6 +232,74 @@ def test_round_trip_is_identity_on_canonical_text():
                      rng.randrange(0, n + 1), seed=i)
         text = serialize(d)
         assert serialize(parse(text)) == text
+
+
+def _trie(words, alpha):
+    """The prefix tree of ``words``, states numbered and labels listed
+    in the order the words first reach them, so not sorted by label."""
+    children = [{}]
+    finals = set()
+    for word in words:
+        q = 0
+        for a in word:
+            if a not in children[q]:
+                children[q][a] = len(children)
+                children.append({})
+            q = children[q][a]
+        finals.add(q)
+    triples = [(t, a, h) for t, kids in enumerate(children)
+               for a, h in kids.items()]
+    return PtDfa.from_triples(len(children), alpha, triples, 0, finals)
+
+
+def test_serialize_agrees_with_reference():
+    rng = random.Random(41)
+    cases = [generate(1, 1, 0.2, 0, seed=0), generate(3, 1, 0.1, 2, seed=1),
+             generate(4, 1, 1.0, 0, seed=2)]
+    assert [cases[0].m, cases[1].m, len(cases[2].finals)] == [0, 0, 0]
+    for i in range(200):
+        n = rng.randrange(1, 40)
+        cases.append(generate(n, rng.choice([1, 2, 5, 9]),
+                              rng.choice([0.05, 0.3, 1.0]),
+                              rng.randrange(0, n + 1), seed=4100 + i))
+    for d in cases:
+        triples = d.transitions()
+        rng.shuffle(triples)
+        shuffled = PtDfa.from_triples(d.n, d.alpha, triples, d.initial,
+                                      d.finals)
+        for e in (d, shuffled, canonicalize(_reachable_part(d))):
+            assert serialize(e) == reference_serialize(e)
+    words = [[rng.randrange(6) for _ in range(rng.randrange(1, 5))]
+             for _ in range(40)]
+    trie = _trie(words, 6)
+    assert trie.labels[:3] != sorted(trie.labels[:3])
+    assert serialize(trie) == reference_serialize(trie)
+    # A repeated (tail, label) key is never strictly increasing, so the
+    # text is sorted by (tail, label, head).
+    twice = PtDfa.from_triples(3, 2, [(0, 0, 2), (1, 0, 2), (1, 0, 0),
+                                      (1, 1, 1)], 0, {2, 0})
+    assert serialize(twice) == reference_serialize(twice) == \
+        "dfa 3 2 4 2 0\n0 0 2\n1 0 0\n1 0 2\n1 1 1\n0\n2\n"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_serialize_peaks_no_higher_than_reference():
+    d = canonicalize(_reachable_part(generate(1000, 1000, 0.1, 500, seed=7)))
+    assert d.m > 99_000
+    text, peak = _traced_peak(serialize, d)
+    ref_text, ref_peak = _traced_peak(reference_serialize, d)
+    assert text == ref_text
+    assert peak <= ref_peak
 
 
 def test_canonicalize_fixed_point():

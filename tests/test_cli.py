@@ -96,7 +96,19 @@ def test_minimize_stats_go_to_stderr():
     assert r.stdout == HEADER_ONLY
     assert "splitter_touches=0" in r.stderr
     assert "n_out=1" in r.stderr
-    assert "phase.refine=" in r.stderr
+    phases = [line.split("=")[0] for line in r.stderr.splitlines()
+              if line.startswith("phase.")]
+    assert phases == ["phase.parse", "phase.preprocess", "phase.refine",
+                      "phase.canonicalize", "phase.serialize"]
+    # The oracle's stats have no phases; the CLI still times its own calls.
+    r = run_cli("minimize", "--algo", "oracle", "--stats",
+                stdin=serialize(generate(12, 3, 0.5, 6, seed=2)))
+    assert r.returncode == 0
+    stats = dict(line.split("=") for line in r.stderr.splitlines())
+    assert [key for key in stats if key.startswith("phase.")] == \
+        ["phase.parse", "phase.serialize"]
+    assert min(float(stats["phase.parse"]), float(stats["phase.serialize"]),
+               float(stats["seconds"])) >= 0.0
 
 
 def test_generate_deterministic_bytes(tmp_path: Path):

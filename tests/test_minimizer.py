@@ -130,6 +130,10 @@ def _refinement_cases():
                        rng.randrange(0, n + 1), seed=12_000 + i)
     for i in range(6):
         yield _ring(generate(6, 2, 0.8, 3, seed=12_500 + i), 3 + i)
+    # Shaped like the random_sparse benchmark input: nearly minimal, so
+    # most rounds pop one transition whose tail is alone in its block.
+    for i in range(8):
+        yield generate(80, 80, 0.1, 40, seed=12_600 + i)
 
 
 def _refinement_result(ref):
@@ -139,6 +143,24 @@ def _refinement_result(ref):
             ref.brp.split_calls, ref.brp.split_steps,
             None if trp is None else
             (trp.dump(), trp.sets, trp.split_calls, trp.split_steps))
+
+
+def _one_transition_skips(dp, worklist):
+    """Rounds that pop a one-transition set whose tail is alone in its
+    block: the rounds ``Refinement.run`` skips."""
+    skips = 0
+
+    def hook(r):
+        nonlocal skips
+        pending = r.unready.items()
+        p = pending[-1] if worklist == "lifo" else pending[0]
+        f = r.trp.first[p]
+        if r.trp.end[p] - f == 1:
+            b = r.brp.set_of(dp.tails[r.trp.elems[f]])
+            skips += r.brp.size(b) == 1
+
+    Refinement(dp, worklist=worklist).run(hook)
+    return skips
 
 
 @pytest.mark.parametrize("worklist", ["lifo", "fifo"])
@@ -156,13 +178,18 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
                 (r.unready.items(), r.brp.dump(), r.block_splits)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
+        # Every transition set is queued exactly once.
+        assert len(rounds) == (0 if ref.trp is None else ref.trp.sets)
         if dp.n == 1 and dp.m == 0:
             covered.add("n=1, m=0")
+        if _one_transition_skips(dp, worklist) > len(rounds) // 2:
+            covered.add("mostly one-transition skips")
         if dp.alpha == 1:
             covered.add("alpha=1")
         if ref.brp.sets < dp.n:
             covered.add("merge")
-    assert covered == {"n=1, m=0", "alpha=1", "merge"}
+    assert covered == {"n=1, m=0", "alpha=1", "merge",
+                       "mostly one-transition skips"}
 
 
 # -- minimize -----------------------------------------------------------------

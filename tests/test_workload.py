@@ -2,7 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from ptdfa import bench, generate, parse_grid, rows_to_csv, serialize, validate
+from ptdfa import (
+    bench, generate, hopcroft_minimize, minimize_with_stats, parse_grid,
+    rows_to_csv, serialize, validate,
+)
 from ptdfa.workload import CSV_COLUMNS
 
 GRID_FILE = Path(__file__).resolve().parent.parent / "table1.grid"
@@ -78,6 +81,18 @@ def test_bench_all_algorithms_run():
     rows = bench([(8, 2, 0.5)], algos=("valmari", "hopcroft", "oracle"))
     assert [r["algo"] for r in rows] == ["valmari", "hopcroft", "oracle"]
     assert all(r["outcome"] == "ok" for r in rows)
+
+
+def test_bench_touch_columns_name_one_quantity_each():
+    rows = bench([(20, 3, 0.5)], algos=("valmari", "hopcroft", "oracle"))
+    d = generate(20, 3, 0.5, 10, 0)
+    valmari, hopcroft, oracle = rows
+    splitter = minimize_with_stats(d)[1].splitter_touches
+    reverse = hopcroft_minimize(d)[1].splitter_touches
+    assert valmari["splitter_touches"] == splitter > 0
+    assert hopcroft["reverse_touches"] == reverse > 0
+    assert valmari["reverse_touches"] == hopcroft["splitter_touches"] == ""
+    assert oracle["splitter_touches"] == oracle["reverse_touches"] == ""
 
 
 def test_csv_header_and_shape():
