@@ -23,22 +23,20 @@ from .preprocess import (
     InitialNotRetainedError, empty_dfa, relevant_states, restrict,
 )
 from .refinable_partition import RefinablePartition
-from .splitter_init import (
-    PresortViolationError, init_trp_grouping, init_trp_presorted,
-)
+from .splitter_init import init_trp_grouping
 from .workload import bench, generate, parse_grid, rows_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutomatonError", "ValidationError", "ParseError", "UnreachableStateError",
-    "InitialNotRetainedError", "PresortViolationError", "AlphabetMismatchError",
+    "InitialNotRetainedError", "AlphabetMismatchError",
     "PtDfa", "MinimizeStats", "RefinablePartition", "SimpleSet", "Refinement",
     "CompletedDfa",
     "validate", "parse", "serialize", "canonicalize", "is_isomorphic",
     "accepts",
     "relevant_states", "restrict", "empty_dfa",
-    "init_trp_presorted", "init_trp_grouping",
+    "init_trp_grouping",
     "minimize", "minimize_with_stats", "final_blocks",
     "oracle_minimize", "language_equal", "language_partition",
     "hopcroft_minimize", "sink_complete",

@@ -397,15 +397,16 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     transitions (members of one block have the same labels defined, with
     heads in the same block), as the blocks of a minimizer's final
     partition are.  Omitting ``blocks`` gives every state a block of its
-    own.  Requires every state (block) to be reachable; raises
-    :class:`UnreachableStateError` otherwise.
+    own, and so do ``blocks`` of ``d.n`` singletons: that quotient is
+    isomorphic to ``d``, so it has the same canonical form, and the
+    quotient is not built.  Requires every state (block) to be
+    reachable; raises :class:`UnreachableStateError` otherwise.
     """
     tails, labels, heads = d.tails, d.labels, d.heads
-    if blocks is None:
-        k = d.n
+    k = d.n if blocks is None else max(blocks) + 1
+    if k == d.n:
         block_of = range(k)
     else:
-        k = max(blocks) + 1
         block_of = blocks
         # Keep the transitions of the last member of each block, with
         # their states replaced by blocks.

@@ -135,9 +135,11 @@ def _refine_total(c: CompletedDfa):
     return blocks, block_of, splits, touches
 
 
-def _refine_completed(dp: PtDfa, stats: MinimizeStats) -> list:
+def _refine_completed(dp: PtDfa, stats: MinimizeStats, in_index) -> list:
     """The completed-table refiner: the final block of each state of
-    ``dp``, without the sink's block."""
+    ``dp``, without the sink's block.  It scans its own reverse index
+    of the table; ``in_index`` is None, since ``hopcroft_minimize``
+    asks the pipeline not to build one."""
     c = sink_complete(dp)
     blocks, block_of, stats.splits, stats.splitter_touches = _refine_total(c)
     sink_block = block_of.pop()
@@ -153,5 +155,5 @@ def hopcroft_minimize(d: PtDfa):
     Returns (out, stats); ``out`` is canonical and identical to what the
     sparse minimizer produces.
     """
-    _, _, out, stats = _pipeline(d, _refine_completed)
+    _, _, out, stats = _pipeline(d, _refine_completed, share_in_index=False)
     return out, stats

@@ -17,22 +17,28 @@ A state in a singleton block, or a transition in a singleton transition
 set, is never marked: its split could only be trivial.  A round whose
 splitter is one transition, with its tail alone in its block, is
 skipped outright after counting its touch, since nothing can split; on
-nearly minimal inputs that is most rounds.  A touched block or set that
-ended up marked whole has its marks cleared in place; only a real split
-calls ``split_block`` (blocks) or is carried out inline (transition
-sets).  The counters still count every skipped or cleared trivial
-split, the skipped round's included, as a split call of its partition,
-so ``split_calls`` reads the same as if each touched set had been
-passed to ``RefinablePartition.split``.
+nearly minimal inputs that is most rounds.  When that tail shares its
+block, the round always splits it: the tail is marked alone and
+``split_block`` called, with no touched list.  A touched block or set
+that ended up marked whole has its marks cleared in place; only a real
+split calls ``split_block`` (blocks) or is carried out inline
+(transition sets).  The counters still count every skipped or cleared
+trivial split, the skipped round's included, as a split call of its
+partition, so ``split_calls`` reads the same as if each touched set had
+been passed to ``RefinablePartition.split``.
 
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
 refiner: dead-state removal, the empty-language answer, the refiner's
 final block of each state, then ``canonicalize``, which builds the
-canonical quotient straight from those blocks.
+canonical quotient straight from those blocks, or only renumbers the
+automaton when no two states merged.  The incoming transitions of each
+state are grouped once, for dead-state removal, and handed on to this
+refiner when that removal kept every state.
 """
 
 from array import array
+from functools import partial
 from time import perf_counter
 
 from .automaton import MinimizeStats, PtDfa, bucket_by, canonicalize
@@ -92,12 +98,14 @@ class Refinement:
     """Mutable state of one refinement run.
 
     ``dp`` must already be preprocessed: every state reachable and
-    co-reachable, at least one final state.  ``run()`` drives the
+    co-reachable, at least one final state.  ``in_index``, if given,
+    must be ``bucket_by(dp.heads, dp.n)``, the incoming transitions of
+    each state; it is built when omitted.  ``run()`` drives the
     refinement to the fixpoint; the final block of state q is
     ``brp.set_of(q)``.
     """
 
-    def __init__(self, dp: PtDfa, worklist: str = "lifo"):
+    def __init__(self, dp: PtDfa, worklist: str = "lifo", in_index=None):
         if worklist not in ("lifo", "fifo"):
             raise ValueError(f"unknown worklist discipline {worklist!r}")
         self.dp = dp
@@ -108,7 +116,9 @@ class Refinement:
         self.small_half_touches = 0
         if dp.m:
             self.trp = init_trp_grouping(dp.labels, dp.alpha, compact=True)
-            self.in_order, self.in_first, self.in_end = bucket_by(dp.heads, dp.n)
+            if in_index is None:
+                in_index = bucket_by(dp.heads, dp.n)
+            self.in_order, self.in_first, self.in_end = in_index
             # Initial transition sets are exactly 0..sets-1, all pending.
             for p in range(self.trp.sets):
                 self.unready.add(p)
@@ -247,11 +257,24 @@ class Refinement:
             e = tend[p]
             touches += e - f
             if e - f == 1:
-                b = bsidx[tails[telems[f]]]
-                if bend[b] - bfirst[b] == 1:
+                q = tails[telems[f]]
+                b = bsidx[q]
+                mm = bfirst[b]
+                if bend[b] - mm == 1:
                     # One transition, its tail alone in its block.
                     trivial += 1
                     continue
+                # One transition into a larger block: mark its tail
+                # alone, which always splits the block.
+                lq = bloc[q]
+                other = belems[mm]
+                belems[lq] = other
+                bloc[other] = lq
+                belems[mm] = q
+                bloc[q] = mm
+                bmid[b] = mm + 1
+                split_block(b)
+                continue
             for q in map(tail_of, telems[f:e]):
                 b = bsidx[q]
                 mm = bmid[b]
@@ -282,26 +305,39 @@ class Refinement:
         brp.split_calls += trivial
 
 
-def _pipeline(d: PtDfa, refine):
+def _pipeline(d: PtDfa, refine, share_in_index: bool = True):
     """The minimization steps shared by every refiner.
 
     Removes dead states, answers an empty language with the one-state
-    empty automaton, and otherwise calls ``refine(dp, stats)`` on the
-    preprocessed automaton ``dp``.  The refiner fills its counters into
-    ``stats`` and returns the final block of each state of ``dp``,
-    numbered densely from 0; the result is the canonical quotient by
-    those blocks.  Returns ``(dp, blocks, out, stats)``, with ``blocks``
-    None when no refinement ran; ``stats.phases`` holds the seconds of
-    the preprocessing, the refiner call and the quotient.
+    empty automaton, and otherwise calls ``refine(dp, stats, in_index)``
+    on the preprocessed automaton ``dp``.  The refiner fills its
+    counters into ``stats`` and returns the final block of each state
+    of ``dp``, numbered densely from 0; the result is the canonical
+    quotient by those blocks, which ``canonicalize`` skips when every
+    block is a single state.  Returns ``(dp, blocks, out, stats)``, with
+    ``blocks`` None when no refinement ran; ``stats.phases`` holds the
+    seconds of the preprocessing, the refiner call and the quotient.
+
+    The incoming transitions of each state, ``bucket_by(d.heads,
+    d.n)``, are grouped once: dead-state removal walks them, and when it
+    keeps every state (``dp is d``) the refiner gets them as
+    ``in_index``; otherwise ``in_index`` is None.  A caller whose
+    refiner has no use for them (hopcroft) passes
+    ``share_in_index=False``, so that none are built here or held while
+    the refiner runs.
     """
     t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
-    dp = restrict(d, relevant_states(d))
+    in_index = bucket_by(d.heads, d.n) if share_in_index else None
+    dp = restrict(d, relevant_states(d, in_index))
+    if dp is not d:
+        in_index = None
     stats.n_core = dp.n
     stats.m_core = dp.m
     t1 = perf_counter()
     if dp.finals:
-        blocks = refine(dp, stats)
+        blocks = refine(dp, stats, in_index)
+        in_index = None  # not held while the quotient is built
         t2 = perf_counter()
         out = canonicalize(dp, blocks)
     else:
@@ -317,9 +353,10 @@ def _pipeline(d: PtDfa, refine):
     return dp, blocks, out, stats
 
 
-def _refine(dp: PtDfa, stats: MinimizeStats, worklist: str, hook) -> list:
+def _refine(dp: PtDfa, stats: MinimizeStats, in_index, worklist: str,
+            hook) -> list:
     """The two-partition refiner: the final block of each state."""
-    ref = Refinement(dp, worklist=worklist)
+    ref = Refinement(dp, worklist=worklist, in_index=in_index)
     ref.run(hook)
     stats.splits = ref.block_splits
     stats.splitter_touches = ref.splitter_touches
@@ -338,7 +375,7 @@ def minimize_with_stats(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
     either way.
     """
     _, _, out, stats = _pipeline(
-        d, lambda dp, stats: _refine(dp, stats, worklist, loop_hook))
+        d, partial(_refine, worklist=worklist, hook=loop_hook))
     return out, stats
 
 
@@ -356,5 +393,5 @@ def final_blocks(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
     empty and no refinement ran), and the instrumentation.
     """
     dp, blocks, _, stats = _pipeline(
-        d, lambda dp, stats: _refine(dp, stats, worklist, loop_hook))
+        d, partial(_refine, worklist=worklist, hook=loop_hook))
     return dp, blocks, stats

@@ -18,9 +18,13 @@ class InitialNotRetainedError(AutomatonError):
     """restrict() requires the kept set to contain the initial state."""
 
 
-def relevant_states(d: PtDfa) -> set:
+def relevant_states(d: PtDfa, in_index=None) -> set:
     """The initial state plus every state that is both reachable from it
-    and able to reach a final state."""
+    and able to reach a final state.
+
+    ``in_index``, if given, must be ``bucket_by(d.heads, d.n)``, the
+    incoming transitions of each state; it is built when omitted.
+    """
     n = d.n
     tails, heads = d.tails, d.heads
 
@@ -36,7 +40,9 @@ def relevant_states(d: PtDfa) -> set:
                 fwd[h] = 1
                 stack.append(h)
 
-    in_order, in_first, in_end = bucket_by(heads, n)
+    if in_index is None:
+        in_index = bucket_by(heads, n)
+    in_order, in_first, in_end = in_index
     bwd = bytearray(n)
     stack = []
     for q in d.finals:

@@ -1,12 +1,12 @@
 """Initial grouping of transitions by label into a refinable partition.
 
-Refinement starts from one transition set per label.  Two builders:
-
-* ``init_trp_presorted`` assumes equal labels arrive contiguously and
-  uses only the partition's own mark/split machinery, touching no
-  per-label storage.
-* ``init_trp_grouping`` handles any input order in O(m) time and
-  memory, independent of the alphabet size.
+Refinement starts from one transition set per label, which
+``init_trp_grouping`` builds for any input order in O(m) time and
+memory, independent of the alphabet size.  The labels are mapped to
+their set indices a chunk at a time, so the fill loop iterates a short
+list of the index dict's own int objects, and it moves a cursor kept in
+a Python list of the set ends, not in an array, whose every read would
+create an int.  No m-entry list is ever held.
 """
 
 from array import array
@@ -15,39 +15,10 @@ from collections import Counter
 from .automaton import AutomatonError
 from .refinable_partition import RefinablePartition
 
-__all__ = ["PresortViolationError", "init_trp_presorted", "init_trp_grouping"]
+__all__ = ["init_trp_grouping"]
 
-
-class PresortViolationError(AutomatonError):
-    """A label recurred non-contiguously in presorted input."""
-
-
-def init_trp_presorted(labels, compact: bool = True) -> RefinablePartition:
-    """One partition set per distinct label, for label-contiguous input.
-
-    Runs of equal labels are marked and split off one by one; the final
-    run stays behind as set 0.  Raises :class:`PresortViolationError` if
-    some label shows up again after its run ended.
-    """
-    m = len(labels)
-    if m == 0:
-        raise ValueError("no transitions to partition")
-    rp = RefinablePartition(m, compact=compact)
-    seen = set()
-    i = 0
-    while i < m:
-        a = labels[i]
-        if a in seen:
-            raise PresortViolationError(
-                f"label {a} recurs non-contiguously at transition {i}")
-        seen.add(a)
-        j = i
-        while j < m and labels[j] == a:
-            rp.mark(j)
-            j += 1
-        rp.split(0)
-        i = j
-    return rp
+# Transitions mapped to their set indices per fill step.
+_CHUNK = 4096
 
 
 def init_trp_grouping(labels, alpha: int,
@@ -70,24 +41,28 @@ def init_trp_grouping(labels, alpha: int,
     index = {}
     rp = RefinablePartition(m, compact=compact)
     first = rp.first
-    mid = rp.mid
     end = rp.end
+    cursor = []
     total = 0
     for i, (a, c) in enumerate(counts.items()):
         index[a] = i
         first[i] = total
         total += c
         end[i] = total
-        mid[i] = total
+        cursor.append(total)
     elems = rp.elems
     loc = rp.loc
     sidx = rp.sidx
-    sidx[:] = array("i", map(index.__getitem__, labels))
-    # mid counts down from end while each set is filled.
-    for t, i in enumerate(sidx):
-        pos = mid[i] - 1
-        mid[i] = pos
-        elems[pos] = t
-        loc[t] = pos
-    rp.sets = len(counts)
+    set_of = index.__getitem__
+    # Each cursor counts down from its set's end while the set is filled.
+    for s in range(0, m, _CHUNK):
+        chunk = list(map(set_of, labels[s:s + _CHUNK]))
+        sidx[s:s + len(chunk)] = array("i", chunk)
+        for t, i in enumerate(chunk, s):
+            pos = cursor[i] - 1
+            cursor[i] = pos
+            elems[pos] = t
+            loc[t] = pos
+    rp.sets = sets = len(cursor)
+    rp.mid[:sets] = first[:sets]
     return rp

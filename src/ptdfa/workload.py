@@ -25,6 +25,8 @@ CSV_COLUMNS = ["algo", "n", "alpha", "p", "d", "seed", "m_in", "states_out",
 
 # The column that takes an algorithm's ``MinimizeStats.splitter_touches``:
 # hopcroft counts reverse-index entries of the completed table there.
+# Only these algorithms count splits; the oracle's counter columns stay
+# empty.
 _TOUCH_COLUMN = {"valmari": "splitter_touches", "hopcroft": "reverse_touches"}
 
 
@@ -115,8 +117,8 @@ def bench(cells, algos=("valmari",), seeds=(0,), d_offsets=(-1, 0, 1)):
                             row["m_in"] = inp.m
                             row["states_out"] = stats.n_out
                             row["trans_out"] = stats.m_out
-                            row["splits"] = stats.splits
                             if algo in _TOUCH_COLUMN:
+                                row["splits"] = stats.splits
                                 row[_TOUCH_COLUMN[algo]] = \
                                     stats.splitter_touches
                     row["millis_min"] = round(min(millis), 3)

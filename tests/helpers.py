@@ -1,15 +1,17 @@
 """Shared test utilities: a naive reference partition, the line-by-line
 reference parser, the sort-every-time reference serializer, a plain
-breadth-first reference renumbering, the call-per-split reference
-refinement loop, brute-force language tools, and the exhaustive
-tiny-automaton sweep."""
+breadth-first reference renumbering, the one-step-per-transition
+reference label grouping, the call-per-split reference refinement loop,
+brute-force language tools, and the exhaustive tiny-automaton sweep."""
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ptdfa import (
-    ParseError, PtDfa, Refinement, SimpleSet, UnreachableStateError,
-    ValidationError, hopcroft_minimize, minimize_with_stats,
+    ParseError, PtDfa, RefinablePartition, Refinement, SimpleSet,
+    UnreachableStateError, ValidationError, hopcroft_minimize,
+    minimize_with_stats,
 )
 from ptdfa.oracle import oracle_minimize
 
@@ -186,6 +188,31 @@ def reference_canonicalize(d):
                      for t, a, h in zip(d.tails, d.labels, d.heads))
     return PtDfa.from_triples(d.n, d.alpha, triples, 0,
                               {new_of[q] for q in d.finals})
+
+
+def reference_grouping(labels, compact=True):
+    """Reference for ``init_trp_grouping``, one fill step per
+    transition: sets in order of first label appearance, each filled
+    from its end down, so its transitions come out descending."""
+    counts = Counter(labels)  # keys in order of first appearance
+    index = {}
+    rp = RefinablePartition(len(labels), compact=compact)
+    total = 0
+    for i, (a, c) in enumerate(counts.items()):
+        index[a] = i
+        rp.first[i] = total
+        total += c
+        rp.end[i] = total
+        rp.mid[i] = total
+    for t, a in enumerate(labels):
+        i = index[a]
+        pos = rp.mid[i] - 1
+        rp.mid[i] = pos
+        rp.elems[pos] = t
+        rp.loc[t] = pos
+        rp.sidx[t] = i
+    rp.sets = len(counts)
+    return rp
 
 
 class ReferenceRefinement(Refinement):

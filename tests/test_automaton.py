@@ -375,6 +375,18 @@ def test_canonicalize_agrees_with_reference():
         assert canonicalize(d) == reference_canonicalize(d)
 
 
+def test_canonicalize_by_singleton_blocks_is_canonicalize():
+    rng = random.Random(43)
+    for i in range(100):
+        n = rng.randrange(1, 30)
+        d = _shuffled(_reachable_part(generate(
+            n, rng.choice([1, 2, 3, 7]), rng.choice([0.1, 0.4, 1.0]),
+            rng.randrange(0, min(n, 3) + 1), seed=900 + i)), rng)
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        assert canonicalize(d, perm) == canonicalize(d)
+
+
 def _naive_quotient(dp, blocks):
     """Quotient by ``blocks`` with the smallest member of each block as
     its representative."""

@@ -8,6 +8,8 @@ from ptdfa import (
     hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
     oracle_minimize, relevant_states, restrict, serialize,
 )
+from ptdfa import minimizer
+from ptdfa.automaton import bucket_by
 from ptdfa.oracle import language_partition
 
 from helpers import (
@@ -192,6 +194,20 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
                        "mostly one-transition skips"}
 
 
+@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
+def test_refinement_with_shared_in_index_matches_own_index(worklist):
+    for d in _refinement_cases():
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        shared = Refinement(dp, worklist=worklist,
+                            in_index=bucket_by(dp.heads, dp.n))
+        own = Refinement(dp, worklist=worklist)
+        shared.run()
+        own.run()
+        assert _refinement_result(shared) == _refinement_result(own)
+
+
 # -- minimize -----------------------------------------------------------------
 
 def test_two_state_cycle_all_final_collapses():
@@ -341,6 +357,42 @@ def test_minimize_allocates_nothing_per_label():
         tracemalloc.stop()
     assert out == d
     assert peak < 2**20
+
+
+# The ``ptdfa.minimizer`` names that the benchmark's layer trace wraps
+# (perfbench/spans.py); a layer that is renamed or fused away must not
+# drop out of the trace unnoticed.
+TRACED_LAYERS = ("relevant_states", "restrict", "bucket_by",
+                 "init_trp_grouping", "canonicalize", "Refinement.__init__",
+                 "Refinement.run")
+
+
+@pytest.mark.parametrize("keeps_all", [True, False])
+def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
+                                                       keeps_all):
+    calls = dict.fromkeys(TRACED_LAYERS, 0)
+    for path in TRACED_LAYERS:
+        *outer, name = path.split(".")
+        owner = minimizer
+        for part in outer:
+            owner = getattr(owner, part)
+        original = getattr(owner, name)
+
+        def wrapper(*args, _original=original, _path=path, **kwargs):
+            calls[_path] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    triples = [(0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 1, 2)]
+    if not keeps_all:
+        triples.append((1, 1, 3))  # state 3 reaches no final state
+    d = PtDfa.from_triples(4 - keeps_all, 2, triples, 0, {2})
+    out = minimize(d)
+    assert out == oracle_minimize(d)
+    # The in-index of d is built once and shared; the refiner builds its
+    # own only when dead-state removal dropped states.
+    assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
+                     "bucket_by": 1 if keeps_all else 2}
 
 
 def test_isomorphism_wrapper_on_minimized_results():

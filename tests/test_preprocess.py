@@ -41,6 +41,8 @@ def test_relevant_matches_brute_force_on_random_inputs():
         d = generate(n, rng.randrange(1, 4), rng.choice([0.2, 0.5, 0.9]),
                      rng.randrange(0, n + 1), seed=1000 + i)
         assert relevant_states(d) == brute_relevant(d)
+        assert relevant_states(d, bucket_by(d.heads, d.n)) == \
+            brute_relevant(d)
 
 
 def test_restrict_to_all_states_is_identity():

@@ -3,12 +3,10 @@ from collections import Counter
 
 import pytest
 
-from ptdfa import (
-    AutomatonError, PresortViolationError, init_trp_grouping,
-    init_trp_presorted,
-)
+from ptdfa import AutomatonError, init_trp_grouping
+from ptdfa.splitter_init import _CHUNK
 
-from helpers import check_partition
+from helpers import check_partition, reference_grouping
 
 
 def _families(rp):
@@ -16,29 +14,6 @@ def _families(rp):
     for s in range(rp.sets):
         out.append(frozenset(rp.elems[i] for i in range(rp.first[s], rp.end[s])))
     return set(out)
-
-
-def test_presorted_two_groups():
-    rp = init_trp_presorted([0, 0, 1, 1])
-    assert rp.sets == 2
-    assert _families(rp) == {frozenset({0, 1}), frozenset({2, 3})}
-    check_partition(rp)
-
-
-def test_presorted_single_label():
-    rp = init_trp_presorted([4])
-    assert rp.sets == 1
-    assert _families(rp) == {frozenset({0})}
-
-
-def test_presorted_rejects_recurring_label():
-    with pytest.raises(PresortViolationError):
-        init_trp_presorted([1, 0, 1])
-
-
-def test_presorted_rejects_empty():
-    with pytest.raises(ValueError):
-        init_trp_presorted([])
 
 
 def test_grouping_interleaved_labels():
@@ -49,19 +24,38 @@ def test_grouping_interleaved_labels():
     check_partition(rp)
 
 
+def test_grouping_rejects_empty():
+    with pytest.raises(ValueError):
+        init_trp_grouping([], alpha=2)
+
+
 def test_grouping_rejects_out_of_range_label():
     with pytest.raises(AutomatonError):
         init_trp_grouping([0, 5], alpha=2)
 
 
-def test_grouping_matches_presorted_partition():
+def _layout(rp):
+    return (list(rp.elems), list(rp.loc), list(rp.sidx), list(rp.first),
+            list(rp.mid), list(rp.end), rp.sets)
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["arrays", "lists"])
+def test_grouping_matches_reference_fill(compact):
     rng = random.Random(42)
+    m = 3 * _CHUNK + 5  # crosses three chunk boundaries
+    cases = [[7] * m, [rng.randrange(2) for _ in range(m)],
+             [rng.randrange(300) for _ in range(m)],
+             [rng.randrange(10**6) for _ in range(m)],
+             sorted(rng.randrange(50) for _ in range(m))]
     for trial in range(100):
         alpha = rng.randrange(1, 6)
-        m = rng.randrange(1, 30)
-        labels = sorted(rng.randrange(alpha) for _ in range(m))
-        assert _families(init_trp_grouping(labels, alpha)) == \
-            _families(init_trp_presorted(labels))
+        cases.append([rng.randrange(alpha)
+                      for _ in range(rng.randrange(1, 30))])
+    for labels in cases:
+        rp = init_trp_grouping(labels, 10**6, compact=compact)
+        assert _layout(rp) == _layout(reference_grouping(labels, compact))
+        check_partition(rp)
+        assert all(rp.no_marks(s) for s in range(rp.sets))
 
 
 def test_grouping_set_sizes_match_histogram():

@@ -95,6 +95,18 @@ def test_bench_touch_columns_name_one_quantity_each():
     assert oracle["splitter_touches"] == oracle["reverse_touches"] == ""
 
 
+def test_bench_splits_column_is_empty_for_the_oracle():
+    rows = bench([(20, 3, 0.5)], algos=("valmari", "hopcroft", "oracle"))
+    d = generate(20, 3, 0.5, 10, 0)
+    valmari, hopcroft, oracle = rows
+    assert valmari["splits"] == minimize_with_stats(d)[1].splits > 0
+    assert hopcroft["splits"] == hopcroft_minimize(d)[1].splits > 0
+    assert oracle["splits"] == ""
+    assert oracle["states_out"] == valmari["states_out"]
+    assert rows_to_csv([oracle]).splitlines()[1].split(",")[
+        CSV_COLUMNS.index("splits")] == ""
+
+
 def test_csv_header_and_shape():
     rows = bench([(6, 2, 0.5)])
     text = rows_to_csv(rows)
