@@ -5,12 +5,24 @@ may be partial: a missing (state, label) entry simply kills the run.
 States are 0..n-1, labels are 0..alpha-1.  Transitions are held as three
 parallel int32 arrays (tail, label, head); the triple view is the API
 boundary.  Values are immutable once built and safe to share.
+
+Every automaton has one out-index in CSR (compressed sparse row) form,
+computed at most once: its labels and heads in (tail, label) order and
+the n + 1 offsets that delimit each state's transitions.  Transitions
+that already arrive in that order, as every canonical text and every
+result of :func:`canonicalize` does, are the index as they stand, so
+only the offsets are counted; :func:`parse`, :func:`validate`,
+:func:`canonicalize` and ``restrict`` record the order as they build an
+automaton, and no later step checks it again.  Other input is
+counting-sorted by tail into the index once.
 """
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from functools import cached_property
+from itertools import accumulate, chain, islice, repeat
 from operator import add, lt, mul
 
 __all__ = [
@@ -55,7 +67,9 @@ class PtDfa:
 
     Instances built through :func:`validate` or :func:`parse` are known
     deterministic and in-range.  Code constructing PtDfa directly is
-    responsible for those invariants.
+    responsible for those invariants.  ``key_ordered`` and
+    ``out_index`` are views derived from the fields, each computed at
+    most once.
     """
 
     n: int
@@ -75,12 +89,37 @@ class PtDfa:
         """The transitions as (tail, label, head) triples."""
         return list(zip(self.tails, self.labels, self.heads))
 
-    def transition_map(self) -> dict:
-        """Dict view {(tail, label): head} of the partial function."""
-        return {
-            (t, a): h
-            for t, a, h in zip(self.tails, self.labels, self.heads)
-        }
+    @cached_property
+    def key_ordered(self) -> bool:
+        """True iff the transitions are in strictly increasing
+        (tail, label) order.  The builders that know it record it, so
+        the C-level check runs only for an automaton built directly."""
+        return _in_key_order(self.tails, self.labels)
+
+    @cached_property
+    def out_index(self) -> tuple:
+        """(labels, heads, first): the transitions in (tail, label)
+        order, those of state q at ``first[q]:first[q + 1]``.
+
+        With the transitions in key order the labels and heads are this
+        automaton's own arrays and only the offsets are counted;
+        otherwise they are counting-sorted by tail and each state's
+        transitions sorted by label.  O(m + n) either way, plus the
+        label sorts.
+        """
+        n, tails, labels, heads = self.n, self.tails, self.labels, self.heads
+        if self.key_ordered:
+            counts = [0] * n
+            for t in tails:
+                counts[t] += 1
+            return labels, heads, array("i", accumulate(counts, initial=0))
+        order, first, end = bucket_by(tails, n)
+        label_of = labels.__getitem__
+        order = array("i", chain.from_iterable(
+            sorted(order[f:e], key=label_of) for f, e in zip(first, end)))
+        first.append(self.m)
+        return (array("i", map(label_of, order)),
+                array("i", map(heads.__getitem__, order)), array("i", first))
 
     @classmethod
     def from_triples(cls, n, alpha, triples, initial, finals) -> "PtDfa":
@@ -130,19 +169,36 @@ def _within(values, limit: int) -> bool:
     return not values or (min(values) >= 0 and max(values) < limit)
 
 
+def _in_key_order(tails, labels) -> bool:
+    """One C-level pass: are the (tail, label) keys strictly increasing?"""
+    return all(map(lt, zip(tails, labels),
+                   zip(islice(tails, 1, None), islice(labels, 1, None))))
+
+
+def _with_order(d: PtDfa, ordered: bool) -> PtDfa:
+    """``d`` with its :attr:`PtDfa.key_ordered` recorded as ``ordered``,
+    which the caller knows from how it built ``d``."""
+    vars(d)["key_ordered"] = ordered
+    return d
+
+
 def _checked(n, alpha, tails, labels, heads, initial, finals) -> PtDfa:
     """The PtDfa of int32 arrays that pass the structural check shared by
     :func:`parse` and :func:`validate`: n and alpha in the int32 range,
-    every index in range, no repeated (tail, label) key.  Only when the
+    every index in range, no repeated (tail, label) key.  Keys in
+    strictly increasing order cannot repeat, so the key set is built
+    only for other input; the order found is recorded.  Only when the
     check fails are the records walked again, by :func:`_diagnostics`."""
     if (1 <= n <= _INT32_MAX and 0 <= alpha <= _INT32_MAX and 0 <= initial < n
             and _within(finals, n) and _within(tails, n)
             and _within(heads, n) and _within(labels, alpha)
             # labels are below alpha here, so tail * alpha + label is a
             # one-to-one key
-            and len(set(map(add, map(mul, tails, repeat(alpha)), labels)))
-            == len(tails)):
-        return PtDfa(n, alpha, tails, labels, heads, initial, frozenset(finals))
+            and ((ordered := _in_key_order(tails, labels))
+                 or len(set(map(add, map(mul, tails, repeat(alpha)), labels)))
+                 == len(tails))):
+        return _with_order(PtDfa(n, alpha, tails, labels, heads, initial,
+                                 frozenset(finals)), ordered)
     raise ValidationError(
         _diagnostics(n, alpha, zip(tails, labels, heads), initial, finals))
 
@@ -340,14 +396,13 @@ def serialize(d: PtDfa) -> str:
     (tail, label, head), final states ascending, LF line endings.
 
     The transitions are sorted only when they are not already in
-    strictly increasing (tail, label) order, which one C-level pass
-    checks; ``canonicalize`` and so every minimizer emit them in that
-    order.  Lines are formatted by one ``%`` call per chunk of
-    transitions, which keeps the peak near the size of the text.
+    strictly increasing (tail, label) order (:attr:`PtDfa.key_ordered`,
+    which ``parse`` and ``canonicalize``, and so every minimizer, record
+    without a further pass).  Lines are formatted by one ``%`` call per
+    chunk of transitions, which keeps the peak near the size of the text.
     """
     tails, labels, heads = d.tails, d.labels, d.heads
-    if not all(map(lt, zip(tails, labels),
-                   zip(islice(tails, 1, None), islice(labels, 1, None)))):
+    if not d.key_ordered:
         order = sorted(range(d.m),
                        key=lambda i: (tails[i], labels[i], heads[i]))
         tails, labels, heads = (array("i", map(col.__getitem__, order))
@@ -401,24 +456,20 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     isomorphic to ``d``, so it has the same canonical form, and the
     quotient is not built.  Requires every state (block) to be
     reachable; raises :class:`UnreachableStateError` otherwise.
+
+    Each block is read through its last member's slice of the
+    out-index (:attr:`PtDfa.out_index`), which lists the labels in
+    ascending order.  The result records that its transitions are in
+    (tail, label) order.
     """
-    tails, labels, heads = d.tails, d.labels, d.heads
+    labels, heads, first = d.out_index
     k = d.n if blocks is None else max(blocks) + 1
     if k == d.n:
-        block_of = range(k)
+        block_of = rep = range(k)
     else:
         block_of = blocks
-        # Keep the transitions of the last member of each block, with
-        # their states replaced by blocks.
-        reps = set(dict(zip(blocks, range(d.n))).values())
-        kept = bytes(map(reps.__contains__, tails))
-        block = blocks.__getitem__
-        tails = array("i", map(block, compress(tails, kept)))
-        labels = array("i", compress(labels, kept))
-        heads = array("i", map(block, compress(heads, kept)))
-    order, first, end = bucket_by(tails, k)
-    label_of = labels.__getitem__
-    head_of = heads.__getitem__
+        rep = dict(zip(blocks, range(d.n)))  # the last member of each block
+    block = block_of.__getitem__
 
     initial = block_of[d.initial]
     new_of = [-1] * k
@@ -430,19 +481,22 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     # Visiting blocks in their new order with labels ascending emits the
     # transitions already sorted by (tail, label, head).
     for q, b in enumerate(bfs):
-        out = sorted(order[first[b]:end[b]], key=label_of)
-        for h in map(head_of, out):
+        s = rep[b]
+        f = first[s]
+        e = first[s + 1]
+        out = list(map(block, heads[f:e]))
+        for h in out:
             if new_of[h] < 0:
                 new_of[h] = len(bfs)
                 bfs.append(h)
-        ct.extend(repeat(q, len(out)))
-        cl.extend(map(label_of, out))
-        ch.extend(map(new_of.__getitem__, map(head_of, out)))
+        ct.extend(repeat(q, e - f))
+        cl += labels[f:e]
+        ch.extend(map(new_of.__getitem__, out))
     if len(bfs) != k:
         raise UnreachableStateError(
             f"{k - len(bfs)} state(s) unreachable from the initial state")
     finals = frozenset(new_of[block_of[q]] for q in d.finals)
-    return PtDfa(k, d.alpha, ct, cl, ch, 0, finals)
+    return _with_order(PtDfa(k, d.alpha, ct, cl, ch, 0, finals), True)
 
 
 def is_isomorphic(d1: PtDfa, d2: PtDfa) -> bool:
@@ -462,12 +516,14 @@ def accepts(d: PtDfa, word) -> bool:
     for a in word:
         if not 0 <= a < d.alpha:
             raise AutomatonError(f"symbol {a} out of range 0..{d.alpha - 1}")
-    step = d.transition_map()
+    labels, heads, first = d.out_index
     q = d.initial
     for a in word:
-        q = step.get((q, a))
-        if q is None:
+        e = first[q + 1]
+        i = bisect_left(labels, a, first[q], e)
+        if i == e or labels[i] != a:
             return False
+        q = heads[i]
     return q in d.finals
 
 

@@ -353,6 +353,11 @@ def all_words(alpha, max_len):
     return words
 
 
+def step_map(d):
+    """Dict view {(tail, label): head} of the partial function."""
+    return {(t, a): h for t, a, h in d.transitions()}
+
+
 def word_run(step, q, word, finals):
     for a in word:
         q = step.get((q, a))
@@ -363,7 +368,7 @@ def word_run(step, q, word, finals):
 
 def language_fingerprint(d, q0, max_len):
     """The set of words of bounded length accepted from state q0."""
-    step = d.transition_map()
+    step = step_map(d)
     return frozenset(w for w in all_words(d.alpha, max_len)
                      if word_run(step, q0, w, d.finals))
 
@@ -371,7 +376,7 @@ def language_fingerprint(d, q0, max_len):
 def brute_relevant(d):
     """Independent relevant-state computation: dict-based forward
     reachability plus a plain backward fixpoint over the triples."""
-    step = d.transition_map()
+    step = step_map(d)
     seen = {d.initial}
     stack = [d.initial]
     while stack:
@@ -403,7 +408,7 @@ def minimal_sizes_by_enumeration(d):
     classes = {}
     for q in sorted(rel):
         classes.setdefault(fps[q], []).append(q)
-    step = d.transition_map()
+    step = step_map(d)
     m_min = 0
     for members in classes.values():
         rep = members[0]
@@ -419,7 +424,7 @@ def worklist_invariant_ok(ref):
     states either agree on the block of their a-successor, or that
     successor block is still paired with a in the worklist."""
     dp = ref.dp
-    step = dp.transition_map()
+    step = step_map(dp)
     pending = ref.unready_pairs()
     block = [ref.brp.set_of(q) for q in range(dp.n)]
     for q1 in range(dp.n):
@@ -453,7 +458,7 @@ def final_partition_violations(dp, blocks, lang_cls):
     for q, c in enumerate(lang_cls):
         blocks_of_class.setdefault(c, set()).add(blocks[q])
     violations += sum(1 for s in blocks_of_class.values() if len(s) > 1)
-    step = dp.transition_map()
+    step = step_map(dp)
     members_of = {}
     for q, b in enumerate(blocks):
         members_of.setdefault(b, []).append(q)

@@ -5,18 +5,18 @@ import pytest
 
 from ptdfa import (
     AutomatonError, ParseError, PtDfa, UnreachableStateError, ValidationError,
-    accepts, canonicalize, final_blocks, generate, is_isomorphic, parse,
-    restrict, serialize, validate,
+    accepts, canonicalize, final_blocks, generate, is_isomorphic, minimize,
+    parse, relevant_states, restrict, serialize, validate,
 )
 
 from helpers import (
     reference_canonicalize, reference_parse, reference_serialize,
-    reference_validate,
+    reference_validate, step_map, word_run,
 )
 
 
 def _reachable_part(d):
-    step = d.transition_map()
+    step = step_map(d)
     seen = {d.initial}
     stack = [d.initial]
     while stack:
@@ -478,4 +478,112 @@ def test_accepts_rejects_out_of_range_symbol():
 def test_transitions_view_matches_arrays():
     d = validate(3, 2, [(0, 0, 1), (1, 1, 2)], 0, {2})
     assert d.transitions() == [(0, 0, 1), (1, 1, 2)]
-    assert d.transition_map() == {(0, 0): 1, (1, 1): 2}
+
+
+def _strictly_key_ordered(d):
+    keys = list(zip(d.tails, d.labels))
+    return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+def _recorded_order(d):
+    """The (tail, label) order a builder recorded for ``d``, after
+    checking that it is the truth; None when nothing was recorded."""
+    recorded = vars(d).get("key_ordered")
+    assert recorded in (None, _strictly_key_ordered(d))
+    return recorded
+
+
+def _shuffled_text(text, rng):
+    """``text`` with its transition lines in random order."""
+    header, *lines = text.split("\n")
+    m = int(header.split(" ")[3])
+    body = lines[:m]
+    rng.shuffle(body)
+    return "\n".join([header] + body + lines[m:])
+
+
+def test_builders_record_key_order():
+    rng = random.Random(47)
+    for i in range(60):
+        n = rng.randrange(1, 30)
+        d = generate(n, rng.choice([1, 2, 5]), rng.choice([0.2, 0.6, 1.0]),
+                     rng.randrange(0, n + 1), seed=1300 + i)
+        text = serialize(d)
+        parsed = parse(text)
+        assert parsed == d
+        assert _recorded_order(parsed) is True
+        assert _recorded_order(d) is True  # validate, through generate
+        shuffled = parse(_shuffled_text(text, rng))
+        assert _recorded_order(shuffled) is (d.m < 2 or shuffled == d)
+        assert serialize(shuffled) == text
+        kept = relevant_states(d)
+        assert _recorded_order(restrict(d, kept)) is True
+        assert _recorded_order(restrict(shuffled, kept)) in (
+            None, _recorded_order(shuffled))
+        assert _recorded_order(canonicalize(_reachable_part(shuffled))) is True
+        dp, blocks, _ = final_blocks(shuffled)
+        if blocks is not None:  # else the empty automaton, m = 0
+            assert _recorded_order(canonicalize(dp, blocks)) is True
+            assert _recorded_order(minimize(shuffled)) is True
+
+
+def test_restrict_records_no_order_for_unordered_input():
+    # State 2 is dropped; the kept transitions stay out of key order.
+    d = PtDfa.from_triples(4, 2, [(1, 0, 3), (0, 1, 1), (0, 0, 2), (1, 1, 3)],
+                           0, {3})
+    assert d.key_ordered is False
+    r = restrict(d, relevant_states(d))
+    assert r.transitions() == [(1, 0, 2), (0, 1, 1), (1, 1, 2)]
+    assert _recorded_order(r) is None
+    assert r.key_ordered is False
+    assert serialize(r) == "dfa 3 2 3 1 0\n0 1 1\n1 0 2\n1 1 2\n2\n"
+
+
+@pytest.mark.parametrize("text", [
+    "dfa 2 1 2 0 0\n0 0 1\n0 0 0\n",         # adjacent, in order otherwise
+    "dfa 3 2 3 0 0\n1 0 1\n0 1 2\n1 0 2\n",  # apart, out of order
+])
+def test_repeated_key_is_refused_in_or_out_of_order(text):
+    with pytest.raises(ValidationError) as exc:
+        parse(text)
+    assert "duplicate transition key" in str(exc.value)
+
+
+def _brute_out_index(d):
+    rows = [sorted((a, h) for t, a, h in d.transitions() if t == q)
+            for q in range(d.n)]
+    first = [0]
+    for row in rows:
+        first.append(first[-1] + len(row))
+    return ([a for row in rows for a, _ in row],
+            [h for row in rows for _, h in row], first)
+
+
+def test_out_index_matches_brute_force_grouping():
+    rng = random.Random(53)
+    cases = [generate(1, 1, 0.5, 0, seed=0), generate(5, 3, 0.01, 2, seed=1),
+             PtDfa.from_triples(4, 1, [(2, 0, 0), (0, 0, 3)], 0, {3})]
+    assert cases[0].m == cases[1].m == 0
+    for i in range(150):
+        n = rng.randrange(1, 25)
+        cases.append(generate(n, rng.choice([1, 1, 2, 4, 9]),
+                              rng.choice([0.1, 0.3, 1.0]),
+                              rng.randrange(0, n + 1), seed=1500 + i))
+    empty_rows = 0
+    for d in cases:
+        expected = _brute_out_index(d)
+        empty_rows += sum(f == e for f, e in zip(expected[2], expected[2][1:]))
+        triples = d.transitions()
+        rng.shuffle(triples)
+        shuffled = PtDfa.from_triples(d.n, d.alpha, triples, d.initial,
+                                      d.finals)
+        step = step_map(d)
+        for e in (d, shuffled):
+            labels, heads, first = e.out_index
+            assert (list(labels), list(heads), list(first)) == expected
+            assert e.out_index is e.out_index  # computed once
+            for _ in range(5):
+                word = [rng.randrange(d.alpha) for _ in range(rng.randrange(6))]
+                assert accepts(e, word) == word_run(step, d.initial, word,
+                                                    d.finals)
+    assert empty_rows > 100  # states with no out-transitions

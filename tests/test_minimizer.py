@@ -6,9 +6,9 @@ import pytest
 from ptdfa import (
     PtDfa, Refinement, SimpleSet, accepts, empty_dfa, final_blocks, generate,
     hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
-    oracle_minimize, relevant_states, restrict, serialize,
+    oracle_minimize, parse, relevant_states, restrict, serialize,
 )
-from ptdfa import minimizer
+from ptdfa import automaton, minimizer, preprocess
 from ptdfa.automaton import bucket_by
 from ptdfa.oracle import language_partition
 
@@ -393,6 +393,39 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
     # own only when dead-state removal dropped states.
     assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
                      "bucket_by": 1 if keeps_all else 2}
+
+
+@pytest.mark.parametrize("case, sorts", [
+    ("keeps_all", 1), ("drops_one", 2), ("shuffled", 2)])
+def test_key_ordered_input_is_counting_sorted_once(monkeypatch, case, sorts):
+    # State 3 reaches no final state when the transition 1 -1-> 3 is kept.
+    lines = ["0 0 1", "0 1 2", "1 0 2", "2 0 0"]
+    if case == "drops_one":
+        lines.insert(3, "1 1 3")
+    if case == "shuffled":
+        lines.reverse()
+    n = 4 if case == "drops_one" else 3
+    text = "\n".join([f"dfa {n} 2 {len(lines)} 1 0"] + lines + ["2", ""])
+    expected = serialize(oracle_minimize(parse(text)))
+    d = parse(text)
+    calls = {"bucket_by": 0, "order checks": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    sort = counted("bucket_by", bucket_by)
+    for module in (automaton, preprocess, minimizer):
+        monkeypatch.setattr(module, "bucket_by", sort)
+    monkeypatch.setattr(automaton, "_in_key_order",
+                        counted("order checks", automaton._in_key_order))
+    assert serialize(minimize(d)) == expected
+    # The in-index by head; a second one over the restricted automaton
+    # when a state is dropped, or the out-index of shuffled input, which
+    # parse already found out of order.
+    assert calls == {"bucket_by": sorts, "order checks": 0}
 
 
 def test_isomorphism_wrapper_on_minimized_results():

@@ -6,7 +6,7 @@ from ptdfa import (
     InitialNotRetainedError, PtDfa, accepts, empty_dfa, generate,
     relevant_states, restrict,
 )
-from ptdfa.preprocess import bucket_by
+from ptdfa.automaton import bucket_by
 
 from helpers import all_words, brute_relevant
 
