@@ -14,7 +14,7 @@ from .automaton import (
 )
 from .hopcroft import CompletedDfa, hopcroft_minimize, sink_complete
 from .minimizer import (
-    Refinement, SimpleSet, final_blocks, minimize, minimize_with_stats,
+    Refinement, final_blocks, minimize, minimize_with_stats,
 )
 from .oracle import (
     AlphabetMismatchError, language_equal, language_partition, oracle_minimize,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AutomatonError", "ValidationError", "ParseError", "UnreachableStateError",
     "InitialNotRetainedError", "AlphabetMismatchError",
-    "PtDfa", "MinimizeStats", "RefinablePartition", "SimpleSet", "Refinement",
+    "PtDfa", "MinimizeStats", "RefinablePartition", "Refinement",
     "CompletedDfa",
     "validate", "parse", "serialize", "canonicalize", "is_isomorphic",
     "accepts",

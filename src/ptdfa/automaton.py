@@ -113,11 +113,11 @@ class PtDfa:
             for t in tails:
                 counts[t] += 1
             return labels, heads, array("i", accumulate(counts, initial=0))
-        order, first, end = bucket_by(tails, n)
+        order, first = bucket_by(tails, n)
         label_of = labels.__getitem__
         order = array("i", chain.from_iterable(
-            sorted(order[f:e], key=label_of) for f, e in zip(first, end)))
-        first.append(self.m)
+            sorted(order[f:e], key=label_of)
+            for f, e in zip(first, islice(first, 1, None))))
         return (array("i", map(label_of, order)),
                 array("i", map(heads.__getitem__, order)), array("i", first))
 
@@ -277,9 +277,11 @@ def parse(text: str) -> PtDfa:
 
     Raises :class:`ParseError`, carrying the 1-based number of the first
     offending line, for text that breaks the grammar: a wrong character,
-    field count or line count.  Raises :class:`ValidationError`, with
-    one diagnostic per offending record, for a number above 2**31 - 1
-    and for an automaton that breaks the last rule.
+    field count or line count.  Raises :class:`ValidationError` for a
+    number above 2**31 - 1 and for an automaton that breaks the last
+    rule: a header field above 2**31 - 1 is named alone, and otherwise
+    the diagnostics, one per offending record, are those that
+    :func:`validate` gives for the same values.
     """
     data = [line for line in text.split("\n") if line and line[0] != "#"]
     header = data[0].split(" ") if data else []
@@ -323,32 +325,41 @@ def _above_int32(numeral: str) -> bool:
     return len(numeral) > 10 or int(numeral) > _INT32_MAX
 
 
-def _shown(numeral: str) -> str:
-    if len(numeral) <= 20:
-        return numeral
-    return f"{numeral[:20]}...({len(numeral)} digits)"
+def _value(numeral: str) -> int:
+    """``int(numeral)``, or, for a numeral too long for ``int()``, the
+    number with its leading 20 digits and its digit count, which is all
+    that :func:`_decimal` shows of it."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return int(numeral[:20]) * 10**(len(numeral) - 20)
 
 
 def _decimal(value: int) -> str:
-    """``value`` in decimal, shortened like :func:`_shown`.  Unlike
-    ``str`` it also works past Python's digit limit for converting an
-    int to a string."""
+    """``value`` in decimal; above 20 digits, its leading 20 digits and
+    its digit count.  Unlike ``str`` it also works past Python's digit
+    limit for converting an int to a string."""
     magnitude = abs(value)
     if magnitude < 10**20:
         return str(value)
-    # A lower bound on the digit count from the bit length, then exact.
-    digits = int((magnitude.bit_length() - 1) * 0.30102999566398120)
-    while 10**digits <= magnitude:
+    # The bit length gives the digit count or one less; one power of
+    # ten, the costly part for a huge value, settles which.
+    digits = int((magnitude.bit_length() - 1) * 0.30102999566398120) + 1
+    lead = magnitude // 10**(digits - 20)
+    if lead >= 10**20:
+        lead //= 10
         digits += 1
     sign = "-" if value < 0 else ""
-    return f"{sign}{magnitude // 10**(digits - 20)}...({digits} digits)"
+    return f"{sign}{lead}...({digits} digits)"
 
 
 def _text_error(text: str) -> AutomatonError:
     """The error for a text that :func:`parse` refused, found by walking
-    its lines again: a :class:`ParseError` at the first line that breaks
-    the grammar, else a :class:`ValidationError` naming each number above
-    the int32 range."""
+    its lines again, once and in order: a :class:`ParseError` at the
+    first line that breaks the grammar (a wrong line count at the last
+    data line), else a :class:`ValidationError`, naming each header field
+    above the int32 range or else giving the diagnostics of
+    :func:`validate` for the numbers of the text."""
     numbered = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
                 if line and line[0] != "#"]
     if not numbered:
@@ -360,35 +371,36 @@ def _text_error(text: str) -> AutomatonError:
     for token in fields[1:]:
         if fault := _numeral_fault(token):
             return ParseError(lineno, fault)
-    big = [f"header field {name}={_shown(token)} is above the int32 range"
-           for name, token in zip(("n", "alpha", "m", "k", "initial"), fields[1:])
-           if _above_int32(token)]
+    n, alpha, m, k, initial = values = list(map(_value, fields[1:]))
+    big = [f"header field {name}={_decimal(value)} is above the int32 range"
+           for name, value in zip(("n", "alpha", "m", "k", "initial"), values)
+           if value > _INT32_MAX]
     if big:
         return ValidationError(big)
-    n, _, m, k, _ = map(int, fields[1:])
-    for lineno, line in numbered[1:]:
-        for token in line.split(" "):
+    counted = len(numbered) == 1 + m + k
+    numbers = []
+    for i, (lineno, line) in enumerate(numbered[1:]):
+        tokens = line.split(" ")
+        for token in tokens:
             if fault := _numeral_fault(token):
                 return ParseError(lineno, fault)
-    if len(numbered) != 1 + m + k:
+        if not counted:
+            continue
+        if i < m and len(tokens) != 3:
+            return ParseError(
+                lineno, "transition line must be '<tail> <label> <head>'")
+        if i >= m and len(tokens) != 1:
+            return ParseError(lineno, "final-state line must be a single state")
+        numbers += map(_value, tokens)
+    if not counted:
         return ParseError(numbered[-1][0],
                           f"expected {m} transition and {k} final-state lines, "
                           f"found {len(numbered) - 1} data lines")
-    for i, (lineno, line) in enumerate(numbered[1:]):
-        tokens = line.split(" ")
-        if i < m:
-            if len(tokens) != 3:
-                return ParseError(
-                    lineno, "transition line must be '<tail> <label> <head>'")
-            big += [f"{name} {_shown(token)} out of range in transition #{i}"
-                    for name, token in zip(("tail", "label", "head"), tokens)
-                    if _above_int32(token)]
-        elif len(tokens) != 1:
-            return ParseError(lineno, "final-state line must be a single state")
-        elif _above_int32(tokens[0]):
-            big.append(f"final state {_shown(tokens[0])} out of range 0..{n - 1}")
-    assert big, "parse refused a text in which no fault is found"
-    return ValidationError(big)
+    end = 3 * m
+    diags = _diagnostics(n, alpha, zip(numbers[0:end:3], numbers[1:end:3],
+                                       numbers[2:end:3]), initial, numbers[end:])
+    assert diags, "parse refused a text in which no fault is found"
+    return ValidationError(diags)
 
 
 def serialize(d: PtDfa) -> str:
@@ -420,23 +432,21 @@ def serialize(d: PtDfa) -> str:
 def bucket_by(keys, nbins: int):
     """Group indices 0..len(keys)-1 by key with one counting-sort pass.
 
-    Returns (order, first, end): the indices whose key is b occupy
-    order[first[b]:end[b]], ascending.  O(len(keys) + nbins).
+    Returns (order, first) in CSR form, the shape of
+    :attr:`PtDfa.out_index`: the indices whose key is b occupy
+    order[first[b]:first[b + 1]], ascending, and ``first`` holds
+    nbins + 1 offsets.  O(len(keys) + nbins).
     """
     counts = [0] * nbins
     for k in keys:
         counts[k] += 1
-    first = [0] * nbins
-    total = 0
-    for b in range(nbins):
-        first[b] = total
-        total += counts[b]
-    cursor = first.copy()
+    first = list(accumulate(counts, initial=0))
+    cursor = first[:-1]
     order = array("i", bytes(4 * len(keys)))
     for i, k in enumerate(keys):
         order[cursor[k]] = i
         cursor[k] += 1
-    return order, first, cursor
+    return order, first
 
 
 def canonicalize(d: PtDfa, blocks=None) -> PtDfa:

@@ -11,8 +11,11 @@ left whole keeps its index and its worklist status.  Rescanning only the
 smaller half bounds the number of times any transition is revisited by
 log n, for O(m log n) total work and O(m) memory.
 
-The two inner loops avoid a call per element, and a worklist round
-calls no Python function unless a block splits (or a hook is given).
+Both partitions are :class:`RefinablePartition` arrays that the loops
+read and write directly, and the worklist is a plain ``array('i')``
+(or a ``deque`` for FIFO order).  The two inner loops avoid a call per
+element, and a worklist round calls no Python function unless a block
+splits (or a hook is given).
 A state in a singleton block, or a transition in a singleton transition
 set, is never marked: its split could only be trivial.  A round whose
 splitter is one transition, with its tail alone in its block, is
@@ -33,11 +36,13 @@ refiner: dead-state removal, the empty-language answer, the refiner's
 final block of each state, then ``canonicalize``, which builds the
 canonical quotient straight from those blocks, or only renumbers the
 automaton when no two states merged.  The incoming transitions of each
-state are grouped once, for dead-state removal, and handed on to this
+state are grouped once, in the CSR form of the out-index
+(:func:`bucket_by`), for dead-state removal, and handed on to this
 refiner when that removal kept every state.
 """
 
 from array import array
+from collections import deque
 from functools import partial
 from time import perf_counter
 
@@ -46,52 +51,7 @@ from .preprocess import empty_dfa, relevant_states, restrict
 from .refinable_partition import RefinablePartition
 from .splitter_init import init_trp_grouping
 
-__all__ = ["SimpleSet", "Refinement", "minimize", "minimize_with_stats",
-           "final_blocks"]
-
-
-class SimpleSet:
-    """Unchecked integer set with O(1) add/remove, stack-backed.
-
-    ``add`` does not test membership; callers guarantee no duplicates
-    where it matters.  ``remove`` returns an arbitrary previously added,
-    not yet removed number: last-in-first-out normally, queue order with
-    ``fifo=True``.
-
-    The numbers live in one ``array('i')``, four bytes each, not in a
-    container of Python ints: a worklist holds up to one entry per
-    transition set, and a ``deque`` or list of int objects doubles the
-    traced peak of ``minimize`` on large inputs.  ``add`` is the array's
-    bound C ``append`` and, without ``fifo``, ``remove`` is its bound
-    ``pop``, so a worklist round makes no Python-level call.  The array
-    is nonempty exactly when the set is, so a loop may test it directly.
-    """
-
-    __slots__ = ("_items", "_taken", "add", "remove")
-
-    def __init__(self, fifo: bool = False):
-        self._items = array("i")
-        self._taken = 0
-        self.add = self._items.append
-        self.remove = self._dequeue if fifo else self._items.pop
-
-    def _dequeue(self) -> int:
-        v = self._items[self._taken]
-        self._taken += 1
-        if self._taken == len(self._items):
-            del self._items[:]
-            self._taken = 0
-        return v
-
-    def empty(self) -> bool:
-        return not self._items
-
-    def __len__(self) -> int:
-        return len(self._items) - self._taken
-
-    def items(self) -> list:
-        """Snapshot of the live contents (for tests and debug hooks)."""
-        return list(self._items[self._taken:])
+__all__ = ["Refinement", "minimize", "minimize_with_stats", "final_blocks"]
 
 
 class Refinement:
@@ -100,9 +60,14 @@ class Refinement:
     ``dp`` must already be preprocessed: every state reachable and
     co-reachable, at least one final state.  ``in_index``, if given,
     must be ``bucket_by(dp.heads, dp.n)``, the incoming transitions of
-    each state; it is built when omitted.  ``run()`` drives the
-    refinement to the fixpoint; the final block of state q is
+    each state in CSR form; it is built when omitted.  ``run()`` drives
+    the refinement to the fixpoint; the final block of state q is
     ``brp.set_of(q)``.
+
+    ``unready``, the worklist of pending transition sets, is a plain
+    container that new sets are appended to: an ``array('i')`` popped
+    from the end for "lifo", a ``deque`` popped from the front for
+    "fifo".  It is nonempty exactly when work is pending.
     """
 
     def __init__(self, dp: PtDfa, worklist: str = "lifo", in_index=None):
@@ -110,29 +75,34 @@ class Refinement:
             raise ValueError(f"unknown worklist discipline {worklist!r}")
         self.dp = dp
         self.brp = RefinablePartition(dp.n)
-        self.unready = SimpleSet(fifo=(worklist == "fifo"))
+        # The worklist holds up to one entry per transition set.  As an
+        # array its entries take four bytes each: a deque of int objects
+        # took the traced peak of minimize on acceptance criterion 7's
+        # input from 12.70 to 23.98 MiB.
+        self.unready = deque() if worklist == "fifo" else array("i")
         self.block_splits = 0
         self.splitter_touches = 0
         self.small_half_touches = 0
         if dp.m:
-            self.trp = init_trp_grouping(dp.labels, dp.alpha, compact=True)
+            self.trp = init_trp_grouping(dp.labels, dp.alpha)
             if in_index is None:
                 in_index = bucket_by(dp.heads, dp.n)
-            self.in_order, self.in_first, self.in_end = in_index
+            self.in_order, self.in_first = in_index
             # Initial transition sets are exactly 0..sets-1, all pending.
-            for p in range(self.trp.sets):
-                self.unready.add(p)
+            self.unready.extend(range(self.trp.sets))
         else:
             self.trp = None
-            self.in_order = self.in_first = self.in_end = None
+            self.in_order = self.in_first = None
 
     def unready_pairs(self) -> set:
         """Live worklist contents as (target block, label) pairs."""
         heads = self.dp.heads
         labels = self.dp.labels
+        telems = self.trp.elems
+        tfirst = self.trp.first
         pairs = set()
-        for p in self.unready.items():
-            t = self.trp.first_of(p)
+        for p in self.unready:
+            t = telems[tfirst[p]]
             pairs.add((self.brp.set_of(heads[t]), labels[t]))
         return pairs
 
@@ -160,7 +130,6 @@ class Refinement:
             return
         in_order = self.in_order
         in_first = self.in_first
-        in_end = self.in_end
         telems = trp.elems
         tloc = trp.loc
         tsidx = trp.sidx
@@ -173,7 +142,7 @@ class Refinement:
         touches = 0
         for q in brp.elems[brp.first[b2]:brp.end[b2]]:
             f = in_first[q]
-            e = in_end[q]
+            e = in_first[q + 1]
             touches += e - f
             for t in in_order[f:e]:
                 p = tsidx[t]
@@ -196,7 +165,7 @@ class Refinement:
         # Split the touched sets in the reverse order of their first
         # touch: the marked prefix of a partially marked set becomes
         # the next fresh set and joins the worklist.
-        unready_add = self.unready.add
+        unready_add = self.unready.append
         new = trp.sets
         steps = 0
         for p in reversed(touched):
@@ -242,8 +211,9 @@ class Refinement:
         bfirst = brp.first
         bmid = brp.mid
         bend = brp.end
-        pending = self.unready._items
-        ur_remove = self.unready.remove
+        pending = self.unready
+        take = (pending.popleft if isinstance(pending, deque)
+                else pending.pop)
         split_block = self.split_block
         touched = []
         touched_add = touched.append
@@ -252,7 +222,7 @@ class Refinement:
         while pending:
             if hook is not None:
                 hook(self)
-            p = ur_remove()
+            p = take()
             f = tfirst[p]
             e = tend[p]
             touches += e - f

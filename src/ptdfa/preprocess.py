@@ -47,7 +47,7 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
 
     if in_index is None:
         in_index = bucket_by(d.heads, n)
-    in_order, in_first, in_end = in_index
+    in_order, in_first = in_index
     bwd = bytearray(n)
     stack = []
     for q in d.finals:
@@ -57,7 +57,7 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
         q = stack.pop()
         # Measured faster here than mapping tails over a slice of
         # in_order, as the forward search maps nothing.
-        for k in range(in_first[q], in_end[q]):
+        for k in range(in_first[q], in_first[q + 1]):
             t = tails[in_order[k]]
             if not bwd[t]:
                 bwd[t] = 1

@@ -1,11 +1,12 @@
 """A refinable partition of {0, ..., max-1} backed by six flat arrays.
 
 The elements of every set are kept contiguous inside one permutation
-array, so membership, size and iteration are O(1), and a set can be
-carved in two along its marked prefix without visiting the unmarked
-part.  Splitting costs O(marked elements), which amortizes to O(1)
-against the mark calls that preceded it.  Sets never merge and elements
-never enter or leave the universe; the partition only gets finer.
+array, so membership and size are O(1), a set is read as one slice of
+that array, and a set can be carved in two along its marked prefix
+without visiting the unmarked part.  Splitting costs O(marked
+elements), which amortizes to O(1) against the mark calls that preceded
+it.  Sets never merge and elements never enter or leave the universe;
+the partition only gets finer.
 """
 
 from array import array
@@ -17,7 +18,8 @@ class RefinablePartition:
     """Partition of 0..max-1 into numbered, nonempty, disjoint sets.
 
     Layout: ``elems`` is a permutation of the universe in which each set
-    occupies the slice ``[first[s], end[s])``; ``loc`` is the inverse of
+    occupies the slice ``elems[first[s]:end[s]]`` (order unspecified),
+    which is how its elements are read; ``loc`` is the inverse of
     ``elems`` and ``sidx[e]`` is the set index of element ``e``.  The
     marked elements of a set sit in the prefix ``[first[s], mid[s])``.
 
@@ -28,6 +30,8 @@ class RefinablePartition:
 
     With ``compact=True`` the six buffers are int32 ``array('i')``
     objects: half the memory of plain lists, slightly slower indexing.
+    The minimizer keeps its blocks in lists and its transition sets,
+    one element per transition, in arrays.
 
     ``mark`` and ``split`` must not be called on an instance while one of
     its sets is being scanned (they reorder elements within slices).
@@ -74,26 +78,6 @@ class RefinablePartition:
         """Index of the set containing element ``e``."""
         assert 0 <= e < self.max
         return self.sidx[e]
-
-    def first_of(self, s: int) -> int:
-        """Some element of set ``s``; the start of a first_of/next_of scan."""
-        assert 0 <= s < self.sets
-        return self.elems[self.first[s]]
-
-    def next_of(self, e: int):
-        """The element after ``e`` in its set's scan, or None at the end."""
-        assert 0 <= e < self.max
-        i = self.loc[e] + 1
-        if i >= self.end[self.sidx[e]]:
-            return None
-        return self.elems[i]
-
-    def elements(self, s: int):
-        """Iterate the elements of set ``s`` (order unspecified)."""
-        e = self.first_of(s)
-        while e is not None:
-            yield e
-            e = self.next_of(e)
 
     def mark(self, e: int) -> None:
         """Mark ``e`` for the next split of its set; re-marking is a no-op."""

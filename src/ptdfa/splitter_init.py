@@ -21,15 +21,14 @@ __all__ = ["init_trp_grouping"]
 _CHUNK = 4096
 
 
-def init_trp_grouping(labels, alpha: int,
-                      compact: bool = True) -> RefinablePartition:
+def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
     """One partition set per distinct label, any input order.
 
     Set i holds the transitions of the i-th distinct label in order of
     first appearance, laid out back to back, each set in descending
-    transition order.  O(m) time and memory: the set of each label is
-    looked up in a dict of the labels that occur, so no storage grows
-    with ``alpha``.
+    transition order, in a compact (int32 array) partition.  O(m) time
+    and memory: the set of each label is looked up in a dict of the
+    labels that occur, so no storage grows with ``alpha``.
     """
     m = len(labels)
     if m == 0:
@@ -39,7 +38,7 @@ def init_trp_grouping(labels, alpha: int,
         raise AutomatonError(f"label {bad} out of range 0..{alpha - 1}")
     counts = Counter(labels)  # keys in order of first appearance
     index = {}
-    rp = RefinablePartition(m, compact=compact)
+    rp = RefinablePartition(m, compact=True)
     first = rp.first
     end = rp.end
     cursor = []

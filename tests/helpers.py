@@ -4,13 +4,12 @@ breadth-first reference renumbering, the one-step-per-transition
 reference label grouping, the call-per-split reference refinement loop,
 brute-force language tools, and the exhaustive tiny-automaton sweep."""
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ptdfa import (
-    ParseError, PtDfa, RefinablePartition, Refinement, SimpleSet,
-    UnreachableStateError, ValidationError, hopcroft_minimize,
+    ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError, ValidationError, hopcroft_minimize,
     minimize_with_stats,
 )
 from ptdfa.oracle import oracle_minimize
@@ -190,13 +189,13 @@ def reference_canonicalize(d):
                               {new_of[q] for q in d.finals})
 
 
-def reference_grouping(labels, compact=True):
+def reference_grouping(labels):
     """Reference for ``init_trp_grouping``, one fill step per
     transition: sets in order of first label appearance, each filled
     from its end down, so its transitions come out descending."""
     counts = Counter(labels)  # keys in order of first appearance
     index = {}
-    rp = RefinablePartition(len(labels), compact=compact)
+    rp = RefinablePartition(len(labels), compact=True)
     total = 0
     for i, (a, c) in enumerate(counts.items()):
         index[a] = i
@@ -224,8 +223,8 @@ class ReferenceRefinement(Refinement):
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)
-        self.touched_blocks = SimpleSet()
-        self.touched_spls = SimpleSet()
+        self.touched_blocks = []
+        self.touched_spls = []
 
     def split_block(self, b: int) -> None:
         """Split block ``b`` along its marks and requeue affected
@@ -248,21 +247,20 @@ class ReferenceRefinement(Refinement):
         if trp is None:
             return
         touched = self.touched_spls
-        assert touched.empty()
+        assert not touched
         in_order = self.in_order
         in_first = self.in_first
-        in_end = self.in_end
         telems = trp.elems
         tloc = trp.loc
         tsidx = trp.sidx
         tfirst = trp.first
         tmid = trp.mid
         belems = brp.elems
-        touched_add = touched.add
+        touched_add = touched.append
         touches = 0
         for posq in range(brp.first[b2], brp.end[b2]):
             q = belems[posq]
-            for k in range(in_first[q], in_end[q]):
+            for k in range(in_first[q], in_first[q + 1]):
                 t = in_order[k]
                 p = tsidx[t]
                 if tmid[p] == tfirst[p]:
@@ -279,10 +277,10 @@ class ReferenceRefinement(Refinement):
                     tmid[p] = mm + 1
                 touches += 1
         self.small_half_touches += touches
-        unready_add = self.unready.add
+        unready_add = self.unready.append
         trp_split = trp.split
-        touched_remove = touched.remove
-        while not touched.empty():
+        touched_remove = touched.pop
+        while touched:
             p2 = trp_split(touched_remove())
             if p2 is not None:
                 unready_add(p2)
@@ -309,16 +307,15 @@ class ReferenceRefinement(Refinement):
         bfirst = brp.first
         bmid = brp.mid
         unready = self.unready
-        ur_empty = unready.empty
-        ur_remove = unready.remove
+        ur_remove = (unready.popleft if isinstance(unready, deque)
+                     else unready.pop)
         touched = self.touched_blocks
-        touched_add = touched.add
-        touched_empty = touched.empty
-        touched_remove = touched.remove
+        touched_add = touched.append
+        touched_remove = touched.pop
         split_block = self.split_block
         touches = 0
-        while not ur_empty():
-            assert touched_empty()
+        while unready:
+            assert not touched
             if hook is not None:
                 hook(self)
             p = ur_remove()
@@ -338,7 +335,7 @@ class ReferenceRefinement(Refinement):
                     bloc[q] = mm
                     bmid[b] = mm + 1
                 touches += 1
-            while not touched_empty():
+            while touched:
                 split_block(touched_remove())
         self.splitter_touches += touches
 

@@ -103,6 +103,7 @@ def test_parse_wrong_line_count():
     ("dfa 2 1 1 1 0\n0 0 1\n  \n1\n", 3),
     ("dfa 2 1 1 1 0\n0 0 1 # note\n1\n", 2),
     ("dfa 2 1 1 1 0\n0 0\n1 1\n", 2),
+    ("dfa 3 2 2 0 0\n0 0\n1 x 2\n", 2),
     ("", 1),
 ])
 def test_parse_rejects_text_outside_the_grammar(text, line):
@@ -119,11 +120,29 @@ def test_parse_refuses_numbers_above_int32():
     with pytest.raises(ValidationError) as exc:
         parse("dfa 2 1 1 1 0\n0 0 3000000000\n2147483648\n")
     assert exc.value.diagnostics == [
-        "head 3000000000 out of range in transition #0",
-        "final state 2147483648 out of range 0..1"]
+        "final state 2147483648 out of range 0..1",
+        "head 3000000000 out of range in transition #0"]
     with pytest.raises(ValidationError) as exc:
         parse("dfa 2 1 1 0 0\n0 0 2147483647\n")
     assert exc.value.diagnostics == ["head 2147483647 out of range in transition #0"]
+
+
+@pytest.mark.parametrize("text, args", [
+    ("dfa 2 1 2 0 0\n0 0 1\n0 0 3000000000\n",
+     (2, 1, [(0, 0, 1), (0, 0, 3000000000)], 0, [])),
+    ("dfa 2 1 1 2 0\n0 0 1\n5\n2147483648\n",
+     (2, 1, [(0, 0, 1)], 0, [5, 2147483648])),
+    # too long for int(): shortened, with the same leading digits
+    (f"dfa 2 1 2 0 0\n0 0 1\n0 0 12345678901234567890{'0' * 4979}5\n",
+     (2, 1, [(0, 0, 1), (0, 0, 12345678901234567890 * 10**4980 + 5)], 0, [])),
+], ids=["duplicate-key", "final-states", "too-long-for-int"])
+def test_parse_above_int32_gives_the_diagnostics_of_validate(text, args):
+    with pytest.raises(ValidationError) as parsed:
+        parse(text)
+    with pytest.raises(ValidationError) as validated:
+        validate(*args)
+    assert parsed.value.diagnostics == validated.value.diagnostics
+    assert len(parsed.value.diagnostics) == 2
 
 
 def test_parse_refuses_numbers_longer_than_int_converts():

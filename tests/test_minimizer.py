@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from ptdfa import (
-    PtDfa, Refinement, SimpleSet, accepts, empty_dfa, final_blocks, generate,
+    PtDfa, Refinement, accepts, empty_dfa, final_blocks, generate,
     hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
     oracle_minimize, parse, relevant_states, restrict, serialize,
 )
@@ -27,42 +27,14 @@ def _random_cases(count, max_n=8, max_alpha=4, seed_base=0):
                        seed=seed_base + i)
 
 
-# -- SimpleSet ----------------------------------------------------------------
-
-def test_simple_set_lifo_order():
-    s = SimpleSet()
-    assert s.empty()
-    for v in (3, 1, 4):
-        s.add(v)
-    assert len(s) == 3
-    assert [s.remove(), s.remove(), s.remove()] == [4, 1, 3]
-    assert s.empty()
-
-
-def test_simple_set_fifo_order():
-    s = SimpleSet(fifo=True)
-    for v in (3, 1, 4):
-        s.add(v)
-    assert [s.remove(), s.remove(), s.remove()] == [3, 1, 4]
-    assert s.empty()
-
-
-def test_simple_set_add_does_not_deduplicate():
-    s = SimpleSet()
-    s.add(2)
-    s.add(2)
-    assert len(s) == 2
-    assert s.items() == [2, 2]
-
-
 # -- split_block behaviour ----------------------------------------------------
 
 def test_split_block_without_marks_changes_nothing():
     d = PtDfa.from_triples(4, 1, [(0, 0, 2), (1, 0, 3)], 0, {2, 3})
     ref = Refinement(restrict(d, relevant_states(d)))
-    before = (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready.items()))
+    before = (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready))
     ref.split_block(0)
-    assert (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready.items())) == before
+    assert (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready)) == before
 
 
 def test_split_block_equal_halves_scans_marked_half():
@@ -98,15 +70,14 @@ def test_split_block_whole_splitter_keeps_index_and_status():
     dp = restrict(d, relevant_states(d))
     assert dp.n == 3
     ref = Refinement(dp)
-    while not ref.unready.empty():
-        ref.unready.remove()
+    del ref.unready[:]
     a_set = ref.trp.set_of(0)
     ref.brp.mark(2)
     ref.split_block(0)
     assert ref.trp.set_of(0) == a_set
     assert ref.trp.no_marks(a_set)
     assert ref.trp.sets == 3
-    assert ref.unready.items() == [ref.trp.set_of(2)]
+    assert list(ref.unready) == [ref.trp.set_of(2)]
 
 
 def _ring(small, copies):
@@ -140,7 +111,7 @@ def _refinement_cases():
 
 def _refinement_result(ref):
     trp = ref.trp
-    return (ref.brp.dump(), list(ref.brp.sidx), ref.unready.items(),
+    return (ref.brp.dump(), list(ref.brp.sidx), list(ref.unready),
             ref.block_splits, ref.splitter_touches, ref.small_half_touches,
             ref.brp.split_calls, ref.brp.split_steps,
             None if trp is None else
@@ -154,7 +125,7 @@ def _one_transition_skips(dp, worklist):
 
     def hook(r):
         nonlocal skips
-        pending = r.unready.items()
+        pending = list(r.unready)
         p = pending[-1] if worklist == "lifo" else pending[0]
         f = r.trp.first[p]
         if r.trp.end[p] - f == 1:
@@ -177,7 +148,7 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
             ref = cls(dp, worklist=worklist)
             rounds = []
             ref.run(lambda r: rounds.append(
-                (r.unready.items(), r.brp.dump(), r.block_splits)))
+                (list(r.unready), r.brp.dump(), r.block_splits)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
         # Every transition set is queued exactly once.
@@ -206,6 +177,27 @@ def test_refinement_with_shared_in_index_matches_own_index(worklist):
         shared.run()
         own.run()
         assert _refinement_result(shared) == _refinement_result(own)
+
+
+@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
+def test_each_round_pops_the_end_of_the_worklist_its_order_names(worklist):
+    # The hook sees the pending sets before each round's pop, and a
+    # round appends the sets it creates, so the next round's list
+    # starts with this one's less the popped set: the last under LIFO,
+    # the first under FIFO.
+    rounds_with_choice = 0
+    for d in _refinement_cases():
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        seen = []
+        Refinement(dp, worklist=worklist).run(
+            lambda r: seen.append(list(r.unready)))
+        for before, after in zip(seen, seen[1:]):
+            rest = before[:-1] if worklist == "lifo" else before[1:]
+            assert after[:len(rest)] == rest
+            rounds_with_choice += len(before) > 1
+    assert rounds_with_choice > 1000
 
 
 # -- minimize -----------------------------------------------------------------

@@ -12,9 +12,25 @@ from helpers import all_words, brute_relevant
 
 
 def test_bucket_by_groups_indices():
-    order, first, end = bucket_by([2, 0, 2, 1, 0], 3)
-    groups = {b: sorted(order[first[b]:end[b]]) for b in range(3)}
+    order, first = bucket_by([2, 0, 2, 1, 0], 3)
+    groups = {b: sorted(order[first[b]:first[b + 1]]) for b in range(3)}
     assert groups == {0: [1, 4], 1: [3], 2: [0, 2]}
+
+
+def test_bucket_by_is_csr_and_matches_brute_force_grouping():
+    rng = random.Random(32)
+    for trial in range(200):
+        nbins = rng.randrange(1, 12)
+        keys = [rng.randrange(nbins) for _ in range(rng.randrange(0, 40))]
+        order, first = bucket_by(keys, nbins)
+        assert len(first) == nbins + 1
+        assert first[0] == 0 and first[-1] == len(keys) == len(order)
+        assert [list(order[first[b]:first[b + 1]]) for b in range(nbins)] \
+            == [[i for i, k in enumerate(keys) if k == b]
+                for b in range(nbins)]
+    # A bin no key falls in is an empty group, at either end too.
+    order, first = bucket_by([1, 1], 3)
+    assert list(first) == [0, 0, 2, 2]
 
 
 def test_relevant_all_states_on_live_path():

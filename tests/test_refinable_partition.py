@@ -29,22 +29,16 @@ def test_create_rejects_empty_universe():
         RefinablePartition(0)
 
 
+def _elements(rp, s):
+    return list(rp.elems[rp.first[s]:rp.end[s]])
+
+
 @pytest.mark.parametrize("compact", STORAGE)
 def test_scan_yields_each_element_once(compact):
     rp = RefinablePartition(6, compact=compact)
-    seen = list(rp.elements(0))
+    seen = _elements(rp, 0)
     assert sorted(seen) == list(range(6))
     assert len(seen) == 6
-
-
-def test_scan_via_first_next_primitives():
-    rp = RefinablePartition(3)
-    seen = set()
-    e = rp.first_of(0)
-    while e is not None:
-        seen.add(e)
-        e = rp.next_of(e)
-    assert seen == {0, 1, 2}
 
 
 def test_singleton_set_scan_ends_immediately():
@@ -52,7 +46,7 @@ def test_singleton_set_scan_ends_immediately():
     rp.mark(1)
     s = rp.split(0)
     assert rp.size(s) == 1
-    assert rp.next_of(rp.first_of(s)) is None
+    assert _elements(rp, s) == [1]
 
 
 def test_split_even_halves():
@@ -62,8 +56,8 @@ def test_split_even_halves():
     new = rp.split(0)
     assert new == 1
     assert rp.size(0) == 2 and rp.size(new) == 2
-    assert set(rp.elements(new)) == {1, 3}
-    assert set(rp.elements(0)) == {0, 2}
+    assert set(_elements(rp, new)) == {1, 3}
+    assert set(_elements(rp, 0)) == {0, 2}
     assert rp.set_of(1) == rp.set_of(3) != rp.set_of(0) == rp.set_of(2)
     check_partition(rp)
 

@@ -39,8 +39,7 @@ def _layout(rp):
             list(rp.mid), list(rp.end), rp.sets)
 
 
-@pytest.mark.parametrize("compact", [True, False], ids=["arrays", "lists"])
-def test_grouping_matches_reference_fill(compact):
+def test_grouping_matches_reference_fill():
     rng = random.Random(42)
     m = 3 * _CHUNK + 5  # crosses three chunk boundaries
     cases = [[7] * m, [rng.randrange(2) for _ in range(m)],
@@ -52,8 +51,8 @@ def test_grouping_matches_reference_fill(compact):
         cases.append([rng.randrange(alpha)
                       for _ in range(rng.randrange(1, 30))])
     for labels in cases:
-        rp = init_trp_grouping(labels, 10**6, compact=compact)
-        assert _layout(rp) == _layout(reference_grouping(labels, compact))
+        rp = init_trp_grouping(labels, 10**6)
+        assert _layout(rp) == _layout(reference_grouping(labels))
         check_partition(rp)
         assert all(rp.no_marks(s) for s in range(rp.sets))
 
