@@ -6,15 +6,15 @@ States are 0..n-1, labels are 0..alpha-1.  Transitions are held as three
 parallel int32 arrays (tail, label, head); the triple view is the API
 boundary.  Values are immutable once built and safe to share.
 
-Every automaton has one out-index in CSR (compressed sparse row) form,
-computed at most once: its labels and heads in (tail, label) order and
-the n + 1 offsets that delimit each state's transitions.  Transitions
-that already arrive in that order, as every canonical text and every
-result of :func:`canonicalize` does, are the index as they stand, so
-only the offsets are counted; :func:`parse`, :func:`validate`,
-:func:`canonicalize` and ``restrict`` record the order as they build an
-automaton, and no later step checks it again.  Other input is
-counting-sorted by tail into the index once.
+Every automaton keeps its transitions in strictly increasing
+(tail, label) order, as it keeps them deterministic and in range.  The
+paper notes that its alpha-sized array "is not needed, if transitions
+are in a suitable order in the input", and every canonical text is in
+that order: :func:`parse` and :func:`validate` find it in one C-level
+pass, and sort other input into it once.  The labels and heads are then
+the out-index of each state in CSR (compressed sparse row) form, and
+only its n + 1 offsets (:attr:`PtDfa.out_first`) are counted, at most
+once.
 """
 
 import json
@@ -66,10 +66,10 @@ class PtDfa:
     """A validated partial-transition DFA.
 
     Instances built through :func:`validate` or :func:`parse` are known
-    deterministic and in-range.  Code constructing PtDfa directly is
-    responsible for those invariants.  ``key_ordered`` and
-    ``out_index`` are views derived from the fields, each computed at
-    most once.
+    deterministic and in range, with their transitions in strictly
+    increasing (tail, label) order.  Code constructing PtDfa directly is
+    responsible for those invariants.  ``out_first`` is a view derived
+    from the fields, computed at most once.
     """
 
     n: int
@@ -90,48 +90,23 @@ class PtDfa:
         return list(zip(self.tails, self.labels, self.heads))
 
     @cached_property
-    def key_ordered(self) -> bool:
-        """True iff the transitions are in strictly increasing
-        (tail, label) order.  The builders that know it record it, so
-        the C-level check runs only for an automaton built directly."""
-        return _in_key_order(self.tails, self.labels)
-
-    @cached_property
-    def out_index(self) -> tuple:
-        """(labels, heads, first): the transitions in (tail, label)
-        order, those of state q at ``first[q]:first[q + 1]``.
-
-        With the transitions in key order the labels and heads are this
-        automaton's own arrays and only the offsets are counted;
-        otherwise they are counting-sorted by tail and each state's
-        transitions sorted by label.  O(m + n) either way, plus the
-        label sorts.
-        """
-        n, tails, labels, heads = self.n, self.tails, self.labels, self.heads
-        if self.key_ordered:
-            counts = [0] * n
-            for t in tails:
-                counts[t] += 1
-            return labels, heads, array("i", accumulate(counts, initial=0))
-        order, first = bucket_by(tails, n)
-        label_of = labels.__getitem__
-        order = array("i", chain.from_iterable(
-            sorted(order[f:e], key=label_of)
-            for f, e in zip(first, islice(first, 1, None))))
-        return (array("i", map(label_of, order)),
-                array("i", map(heads.__getitem__, order)), array("i", first))
+    def out_first(self) -> array:
+        """The n + 1 offsets of the out-index: the transitions of state q
+        are ``first[q]:first[q + 1]`` of ``labels`` and ``heads``, which
+        the key order lists by ascending label.  O(m + n)."""
+        counts = [0] * self.n
+        for t in self.tails:
+            counts[t] += 1
+        return array("i", accumulate(counts, initial=0))
 
     @classmethod
     def from_triples(cls, n, alpha, triples, initial, finals) -> "PtDfa":
-        """Build without validation from an iterable of triples."""
-        tails = array("i")
-        labels = array("i")
-        heads = array("i")
-        for t, a, h in triples:
-            tails.append(t)
-            labels.append(a)
-            heads.append(h)
-        return cls(n, alpha, tails, labels, heads, initial, frozenset(finals))
+        """Build without validation from an iterable of triples, which
+        are sorted first."""
+        flat = array("i", chain.from_iterable(
+            (t, a, h) for t, a, h in sorted(triples)))
+        return cls(n, alpha, flat[0::3], flat[1::3], flat[2::3], initial,
+                   frozenset(finals))
 
     def __repr__(self):
         return (f"PtDfa(n={self.n}, alpha={self.alpha}, m={self.m}, "
@@ -141,8 +116,9 @@ class PtDfa:
 def validate(n, alpha, transitions, initial, finals) -> PtDfa:
     """Check a raw description and return the PtDfa.
 
-    ``transitions`` is an iterable of (tail, label, head) triples.  Every
-    value must be a plain ``int``: a float or a bool is refused, never
+    ``transitions`` is an iterable of (tail, label, head) triples in any
+    order; the PtDfa holds them in (tail, label) order.  Every value
+    must be a plain ``int``: a float or a bool is refused, never
     coerced.  Raises :class:`ValidationError` carrying one diagnostic per
     problem: a value that is not an int, a record that is not a triple, a
     duplicate (tail, label) key (nondeterminism), an index out of range,
@@ -175,40 +151,46 @@ def _in_key_order(tails, labels) -> bool:
                    zip(islice(tails, 1, None), islice(labels, 1, None))))
 
 
-def _with_order(d: PtDfa, ordered: bool) -> PtDfa:
-    """``d`` with its :attr:`PtDfa.key_ordered` recorded as ``ordered``,
-    which the caller knows from how it built ``d``."""
-    vars(d)["key_ordered"] = ordered
-    return d
-
-
 def _checked(n, alpha, tails, labels, heads, initial, finals) -> PtDfa:
     """The PtDfa of int32 arrays that pass the structural check shared by
     :func:`parse` and :func:`validate`: n and alpha in the int32 range,
-    every index in range, no repeated (tail, label) key.  Keys in
-    strictly increasing order cannot repeat, so the key set is built
-    only for other input; the order found is recorded.  Only when the
-    check fails are the records walked again, by :func:`_diagnostics`."""
+    every index in range, no repeated (tail, label) key.  Transitions
+    out of key order are sorted into it; a repeated key then sits next
+    to its twin, so one pass over the keys finds it either way.  Only
+    when the check fails are the records walked again, in their given
+    order, by :func:`_diagnostics`."""
     if (1 <= n <= _INT32_MAX and 0 <= alpha <= _INT32_MAX and 0 <= initial < n
             and _within(finals, n) and _within(tails, n)
-            and _within(heads, n) and _within(labels, alpha)
-            # labels are below alpha here, so tail * alpha + label is a
-            # one-to-one key
-            and ((ordered := _in_key_order(tails, labels))
-                 or len(set(map(add, map(mul, tails, repeat(alpha)), labels)))
-                 == len(tails))):
-        return _with_order(PtDfa(n, alpha, tails, labels, heads, initial,
-                                 frozenset(finals)), ordered)
+            and _within(heads, n) and _within(labels, alpha)):
+        ordered = _in_key_order(tails, labels)
+        columns = ((tails, labels, heads) if ordered
+                   else _key_sorted(alpha, tails, labels, heads))
+        if ordered or _in_key_order(columns[0], columns[1]):
+            return PtDfa(n, alpha, *columns, initial, frozenset(finals))
     raise ValidationError(
         _diagnostics(n, alpha, zip(tails, labels, heads), initial, finals))
 
 
-def _diagnostics(n, alpha, records, initial, finals) -> list:
+def _key_sorted(alpha, tails, labels, heads) -> tuple:
+    """The three columns sorted stably by (tail, label), with labels
+    below ``alpha``, so that ``tail * alpha + label`` is a one-to-one
+    key.  One C-level sort, whose cost does not depend on n: a counting
+    sort by tail would allocate n bins, for two transitions as well."""
+    keys = list(map(add, map(mul, tails, repeat(alpha)), labels))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    return tuple(array("i", map(column.__getitem__, order))
+                 for column in (tails, labels, heads))
+
+
+def _diagnostics(n, alpha, records, initial, finals, shown=None) -> list:
     """Every fault of a raw description, one diagnostic per bad record.
 
     The error path of :func:`parse` and :func:`validate`, run only after
-    their fast checks have failed.
+    their fast checks have failed.  ``shown`` writes a number in a
+    diagnostic; it defaults to :func:`_decimal`.
     """
+    shown = shown or _decimal
     diags = [f"{name} {value!r} is not an int"
              for name, value in (("n", n), ("alpha", alpha),
                                  ("initial state", initial))
@@ -216,21 +198,21 @@ def _diagnostics(n, alpha, records, initial, finals) -> list:
     if diags:
         return diags
     if n < 1:
-        diags.append(f"empty state set (n={_decimal(n)})")
+        diags.append(f"empty state set (n={shown(n)})")
     elif n > _INT32_MAX:
-        diags.append(f"state count n={_decimal(n)} is above the int32 range")
+        diags.append(f"state count n={shown(n)} is above the int32 range")
     if alpha < 0:
-        diags.append(f"negative alphabet size ({_decimal(alpha)})")
+        diags.append(f"negative alphabet size ({shown(alpha)})")
     elif alpha > _INT32_MAX:
-        diags.append(f"alphabet size {_decimal(alpha)} is above the int32 range")
-    states = f"0..{_decimal(n - 1)}"
+        diags.append(f"alphabet size {shown(alpha)} is above the int32 range")
+    states = f"0..{shown(n - 1)}"
     if n >= 1 and not 0 <= initial < n:
-        diags.append(f"initial state {_decimal(initial)} out of range {states}")
+        diags.append(f"initial state {shown(initial)} out of range {states}")
     diags += [f"final state {q!r} is not an int"
               for q in finals if type(q) is not int]
     for q in sorted({q for q in finals if type(q) is int}):
         if not 0 <= q < n:
-            diags.append(f"final state {_decimal(q)} out of range {states}")
+            diags.append(f"final state {shown(q)} out of range {states}")
     seen = set()
     for i, record in enumerate(records):
         try:
@@ -243,12 +225,12 @@ def _diagnostics(n, alpha, records, initial, finals) -> list:
             if type(value) is not int:
                 diags.append(f"{name} {value!r} is not an int in transition #{i}")
             elif not 0 <= value < limit:
-                diags.append(f"{name} {_decimal(value)} out of range in "
+                diags.append(f"{name} {shown(value)} out of range in "
                              f"transition #{i}")
         if type(t) is int and type(a) is int:
             if (t, a) in seen:
-                diags.append(f"duplicate transition key (tail={_decimal(t)}, "
-                             f"label={_decimal(a)}) at transition #{i}")
+                diags.append(f"duplicate transition key (tail={shown(t)}, "
+                             f"label={shown(a)}) at transition #{i}")
             seen.add((t, a))
     return diags
 
@@ -325,14 +307,19 @@ def _above_int32(numeral: str) -> bool:
     return len(numeral) > 10 or int(numeral) > _INT32_MAX
 
 
-def _value(numeral: str) -> int:
-    """``int(numeral)``, or, for a numeral too long for ``int()``, the
-    number with its leading 20 digits and its digit count, which is all
-    that :func:`_decimal` shows of it."""
+def _value(numeral: str, long: dict) -> int:
+    """``int(numeral)``, or, for a numeral too long for ``int()``, a
+    stand-in built in linear time, entered in ``long`` with the text
+    that :func:`_decimal` shows for the number.  Stand-ins exceed every
+    number ``int()`` converts and compare by digit count, then by the
+    leading 20 digits, as those shortened numbers would."""
     try:
         return int(numeral)
     except ValueError:
-        return int(numeral[:20]) * 10**(len(numeral) - 20)
+        digits = len(numeral)
+        stand_in = int(numeral[:20]) << 4 * digits  # 16**digits > 10**digits
+        long[stand_in] = f"{numeral[:20]}...({digits} digits)"
+        return stand_in
 
 
 def _decimal(value: int) -> str:
@@ -371,8 +358,13 @@ def _text_error(text: str) -> AutomatonError:
     for token in fields[1:]:
         if fault := _numeral_fault(token):
             return ParseError(lineno, fault)
-    n, alpha, m, k, initial = values = list(map(_value, fields[1:]))
-    big = [f"header field {name}={_decimal(value)} is above the int32 range"
+    long = {}
+
+    def shown(value):
+        return long.get(value) or _decimal(value)
+
+    n, alpha, m, k, initial = values = [_value(t, long) for t in fields[1:]]
+    big = [f"header field {name}={shown(value)} is above the int32 range"
            for name, value in zip(("n", "alpha", "m", "k", "initial"), values)
            if value > _INT32_MAX]
     if big:
@@ -391,14 +383,15 @@ def _text_error(text: str) -> AutomatonError:
                 lineno, "transition line must be '<tail> <label> <head>'")
         if i >= m and len(tokens) != 1:
             return ParseError(lineno, "final-state line must be a single state")
-        numbers += map(_value, tokens)
+        numbers += (_value(token, long) for token in tokens)
     if not counted:
         return ParseError(numbered[-1][0],
                           f"expected {m} transition and {k} final-state lines, "
                           f"found {len(numbered) - 1} data lines")
     end = 3 * m
     diags = _diagnostics(n, alpha, zip(numbers[0:end:3], numbers[1:end:3],
-                                       numbers[2:end:3]), initial, numbers[end:])
+                                       numbers[2:end:3]), initial, numbers[end:],
+                         shown)
     assert diags, "parse refused a text in which no fault is found"
     return ValidationError(diags)
 
@@ -407,19 +400,11 @@ def serialize(d: PtDfa) -> str:
     """Emit the bit-exact canonical text: transitions sorted by
     (tail, label, head), final states ascending, LF line endings.
 
-    The transitions are sorted only when they are not already in
-    strictly increasing (tail, label) order (:attr:`PtDfa.key_ordered`,
-    which ``parse`` and ``canonicalize``, and so every minimizer, record
-    without a further pass).  Lines are formatted by one ``%`` call per
-    chunk of transitions, which keeps the peak near the size of the text.
+    The transitions are written as the automaton holds them, which is
+    that order.  Lines are formatted by one ``%`` call per chunk of
+    transitions, which keeps the peak near the size of the text.
     """
-    tails, labels, heads = d.tails, d.labels, d.heads
-    if not d.key_ordered:
-        order = sorted(range(d.m),
-                       key=lambda i: (tails[i], labels[i], heads[i]))
-        tails, labels, heads = (array("i", map(col.__getitem__, order))
-                                for col in (tails, labels, heads))
-    flat = chain.from_iterable(zip(tails, labels, heads))
+    flat = chain.from_iterable(zip(d.tails, d.labels, d.heads))
     full, rest = divmod(d.m, _CHUNK)
     parts = [f"dfa {d.n} {d.alpha} {d.m} {len(d.finals)} {d.initial}\n"]
     parts += [_CHUNK_FORMAT % tuple(islice(flat, 3 * _CHUNK))
@@ -432,8 +417,8 @@ def serialize(d: PtDfa) -> str:
 def bucket_by(keys, nbins: int):
     """Group indices 0..len(keys)-1 by key with one counting-sort pass.
 
-    Returns (order, first) in CSR form, the shape of
-    :attr:`PtDfa.out_index`: the indices whose key is b occupy
+    Returns (order, first) in CSR form, like the out-index with its
+    offsets :attr:`PtDfa.out_first`: the indices whose key is b occupy
     order[first[b]:first[b + 1]], ascending, and ``first`` holds
     nbins + 1 offsets.  O(len(keys) + nbins).
     """
@@ -468,11 +453,11 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     reachable; raises :class:`UnreachableStateError` otherwise.
 
     Each block is read through its last member's slice of the
-    out-index (:attr:`PtDfa.out_index`), which lists the labels in
-    ascending order.  The result records that its transitions are in
+    out-index (:attr:`PtDfa.out_first`), which lists the labels in
+    ascending order, and so the result's transitions come out in
     (tail, label) order.
     """
-    labels, heads, first = d.out_index
+    labels, heads, first = d.labels, d.heads, d.out_first
     k = d.n if blocks is None else max(blocks) + 1
     if k == d.n:
         block_of = rep = range(k)
@@ -506,7 +491,7 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
         raise UnreachableStateError(
             f"{k - len(bfs)} state(s) unreachable from the initial state")
     finals = frozenset(new_of[block_of[q]] for q in d.finals)
-    return _with_order(PtDfa(k, d.alpha, ct, cl, ch, 0, finals), True)
+    return PtDfa(k, d.alpha, ct, cl, ch, 0, finals)
 
 
 def is_isomorphic(d1: PtDfa, d2: PtDfa) -> bool:
@@ -526,7 +511,7 @@ def accepts(d: PtDfa, word) -> bool:
     for a in word:
         if not 0 <= a < d.alpha:
             raise AutomatonError(f"symbol {a} out of range 0..{d.alpha - 1}")
-    labels, heads, first = d.out_index
+    labels, heads, first = d.labels, d.heads, d.out_first
     q = d.initial
     for a in word:
         e = first[q + 1]

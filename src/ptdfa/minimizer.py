@@ -67,7 +67,11 @@ class Refinement:
     ``unready``, the worklist of pending transition sets, is a plain
     container that new sets are appended to: an ``array('i')`` popped
     from the end for "lifo", a ``deque`` popped from the front for
-    "fifo".  It is nonempty exactly when work is pending.
+    "fifo".  It is nonempty exactly when work is pending.  The deque
+    holds int objects, not four-byte entries: on acceptance criterion
+    7's input it raises the traced peak of ``minimize`` to about
+    25.7 MiB, against 12.5 MiB for "lifo".  It stays, as the reference
+    order that criterion 8 compares the default against.
     """
 
     def __init__(self, dp: PtDfa, worklist: str = "lifo", in_index=None):
@@ -75,10 +79,7 @@ class Refinement:
             raise ValueError(f"unknown worklist discipline {worklist!r}")
         self.dp = dp
         self.brp = RefinablePartition(dp.n)
-        # The worklist holds up to one entry per transition set.  As an
-        # array its entries take four bytes each: a deque of int objects
-        # took the traced peak of minimize on acceptance criterion 7's
-        # input from 12.70 to 23.98 MiB.
+        # The worklist holds up to one entry per transition set.
         self.unready = deque() if worklist == "fifo" else array("i")
         self.block_splits = 0
         self.splitter_touches = 0

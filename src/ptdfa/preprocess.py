@@ -5,16 +5,17 @@ on some path from the initial state to a final state.  Dropping the rest
 never changes the language, and afterwards every surviving state has a
 nonempty language, which the minimizer's splitting logic relies on.
 
-The forward search walks each state's slice of the automaton's cached
-out-index (:attr:`PtDfa.out_index`), the backward search the incoming
-transitions grouped by head.  ``restrict`` keeps the relative order of
-the surviving transitions and renumbers states in ascending order, so
-it records that an automaton in (tail, label) order stays in that order.
+The forward search walks each state's slice of the heads, delimited by
+the automaton's cached out-index offsets (:attr:`PtDfa.out_first`), the
+backward search the incoming transitions grouped by head.  ``restrict``
+keeps the relative order of the surviving transitions and renumbers
+states in ascending order, so its result keeps the (tail, label) order
+that every PtDfa is in.
 """
 
 from array import array
 
-from .automaton import AutomatonError, PtDfa, _with_order, bucket_by
+from .automaton import AutomatonError, PtDfa, bucket_by
 
 __all__ = ["InitialNotRetainedError", "relevant_states", "restrict",
            "empty_dfa"]
@@ -34,7 +35,7 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
     n = d.n
     tails = d.tails
 
-    _, out_heads, out_first = d.out_index
+    out_heads, out_first = d.heads, d.out_first
     fwd = bytearray(n)
     fwd[d.initial] = 1
     stack = [d.initial]
@@ -93,8 +94,8 @@ def restrict(d: PtDfa, keep) -> PtDfa:
             labels.append(a)
             heads.append(new_of[h])
     finals = frozenset(new_of[q] for q in d.finals if new_of[q] >= 0)
-    r = PtDfa(count, d.alpha, tails, labels, heads, new_of[d.initial], finals)
-    return _with_order(r, True) if d.key_ordered else r
+    return PtDfa(count, d.alpha, tails, labels, heads, new_of[d.initial],
+                 finals)
 
 
 def empty_dfa(alpha: int) -> PtDfa:

@@ -5,8 +5,9 @@ import pytest
 
 from ptdfa import (
     AutomatonError, ParseError, PtDfa, UnreachableStateError, ValidationError,
-    accepts, canonicalize, final_blocks, generate, is_isomorphic, minimize,
-    parse, relevant_states, restrict, serialize, validate,
+    accepts, canonicalize, empty_dfa, final_blocks, generate,
+    hopcroft_minimize, is_isomorphic, minimize, oracle_minimize, parse,
+    relevant_states, restrict, serialize, validate,
 )
 
 from helpers import (
@@ -135,7 +136,10 @@ def test_parse_refuses_numbers_above_int32():
     # too long for int(): shortened, with the same leading digits
     (f"dfa 2 1 2 0 0\n0 0 1\n0 0 12345678901234567890{'0' * 4979}5\n",
      (2, 1, [(0, 0, 1), (0, 0, 12345678901234567890 * 10**4980 + 5)], 0, [])),
-], ids=["duplicate-key", "final-states", "too-long-for-int"])
+    # listed by value, the longer one last
+    (f"dfa 2 1 0 2 0\n1{'0' * 4399}\n1{'0' * 4301}\n",
+     (2, 1, [], 0, [10**4399, 10**4301])),
+], ids=["duplicate-key", "final-states", "too-long-for-int", "too-long-finals"])
 def test_parse_above_int32_gives_the_diagnostics_of_validate(text, args):
     with pytest.raises(ValidationError) as parsed:
         parse(text)
@@ -152,6 +156,20 @@ def test_parse_refuses_numbers_longer_than_int_converts():
         with pytest.raises(ValidationError) as exc:
             parse(text)
         assert "(5000 digits)" in str(exc.value)
+
+
+def test_parse_shows_a_million_digit_numeral_from_its_text():
+    huge = "12345678901234567890" + "7" * (10**6 - 20)
+    shown = "12345678901234567890...(1000000 digits)"
+    for text, diagnostics in (
+            (f"dfa {huge} 1 0 0 0\n",
+             [f"header field n={shown} is above the int32 range"]),
+            (f"dfa 2 1 1 1 0\n0 0 {huge}\n{huge}\n",
+             [f"final state {shown} out of range 0..1",
+              f"head {shown} out of range in transition #0"])):
+        with pytest.raises(ValidationError) as exc:
+            parse(text)
+        assert exc.value.diagnostics == diagnostics
 
 
 def _noisy(d, rng) -> str:
@@ -254,8 +272,8 @@ def test_round_trip_is_identity_on_canonical_text():
 
 
 def _trie(words, alpha):
-    """The prefix tree of ``words``, states numbered and labels listed
-    in the order the words first reach them, so not sorted by label."""
+    """The prefix tree of ``words``, states numbered in the order the
+    words first reach them, so not breadth-first."""
     children = [{}]
     finals = set()
     for word in words:
@@ -291,10 +309,10 @@ def test_serialize_agrees_with_reference():
     words = [[rng.randrange(6) for _ in range(rng.randrange(1, 5))]
              for _ in range(40)]
     trie = _trie(words, 6)
-    assert trie.labels[:3] != sorted(trie.labels[:3])
     assert serialize(trie) == reference_serialize(trie)
-    # A repeated (tail, label) key is never strictly increasing, so the
-    # text is sorted by (tail, label, head).
+    # from_triples sorts its triples whole, so even a repeated
+    # (tail, label) key, which it does not check, comes out sorted by
+    # (tail, label, head).
     twice = PtDfa.from_triples(3, 2, [(0, 0, 2), (1, 0, 2), (1, 0, 0),
                                       (1, 1, 1)], 0, {2, 0})
     assert serialize(twice) == reference_serialize(twice) == \
@@ -370,12 +388,11 @@ def test_canonicalize_allocates_nothing_per_label():
 
 
 def _shuffled(d, rng):
-    """``d`` with its states renamed at random (the initial state
-    included) and its transitions in random order."""
+    """``d`` with its states renamed at random, the initial state
+    included."""
     perm = list(range(d.n))
     rng.shuffle(perm)
     triples = [(perm[t], a, perm[h]) for t, a, h in d.transitions()]
-    rng.shuffle(triples)
     return PtDfa.from_triples(d.n, d.alpha, triples, perm[d.initial],
                               {perm[q] for q in d.finals})
 
@@ -499,17 +516,9 @@ def test_transitions_view_matches_arrays():
     assert d.transitions() == [(0, 0, 1), (1, 1, 2)]
 
 
-def _strictly_key_ordered(d):
+def _in_strict_key_order(d):
     keys = list(zip(d.tails, d.labels))
     return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
-
-
-def _recorded_order(d):
-    """The (tail, label) order a builder recorded for ``d``, after
-    checking that it is the truth; None when nothing was recorded."""
-    recorded = vars(d).get("key_ordered")
-    assert recorded in (None, _strictly_key_ordered(d))
-    return recorded
 
 
 def _shuffled_text(text, rng):
@@ -521,51 +530,74 @@ def _shuffled_text(text, rng):
     return "\n".join([header] + body + lines[m:])
 
 
-def test_builders_record_key_order():
+def test_every_builder_returns_strictly_increasing_keys():
     rng = random.Random(47)
     for i in range(60):
         n = rng.randrange(1, 30)
         d = generate(n, rng.choice([1, 2, 5]), rng.choice([0.2, 0.6, 1.0]),
                      rng.randrange(0, n + 1), seed=1300 + i)
         text = serialize(d)
-        parsed = parse(text)
-        assert parsed == d
-        assert _recorded_order(parsed) is True
-        assert _recorded_order(d) is True  # validate, through generate
         shuffled = parse(_shuffled_text(text, rng))
-        assert _recorded_order(shuffled) is (d.m < 2 or shuffled == d)
+        assert shuffled == parse(text) == d
         assert serialize(shuffled) == text
-        kept = relevant_states(d)
-        assert _recorded_order(restrict(d, kept)) is True
-        assert _recorded_order(restrict(shuffled, kept)) in (
-            None, _recorded_order(shuffled))
-        assert _recorded_order(canonicalize(_reachable_part(shuffled))) is True
-        dp, blocks, _ = final_blocks(shuffled)
-        if blocks is not None:  # else the empty automaton, m = 0
-            assert _recorded_order(canonicalize(dp, blocks)) is True
-            assert _recorded_order(minimize(shuffled)) is True
+        triples = d.transitions()
+        rng.shuffle(triples)
+        args = (d.n, d.alpha, triples, d.initial, d.finals)
+        keep = {d.initial, *rng.sample(range(n), rng.randrange(n + 1))}
+        built = [d, shuffled, validate(*args), PtDfa.from_triples(*args),
+                 restrict(d, keep), canonicalize(_reachable_part(d)),
+                 empty_dfa(d.alpha), minimize(d), hopcroft_minimize(d)[0],
+                 oracle_minimize(d)]
+        assert built[2] == built[3] == d
+        assert all(map(_in_strict_key_order, built))
 
 
-def test_restrict_records_no_order_for_unordered_input():
-    # State 2 is dropped; the kept transitions stay out of key order.
-    d = PtDfa.from_triples(4, 2, [(1, 0, 3), (0, 1, 1), (0, 0, 2), (1, 1, 3)],
-                           0, {3})
-    assert d.key_ordered is False
-    r = restrict(d, relevant_states(d))
-    assert r.transitions() == [(1, 0, 2), (0, 1, 1), (1, 1, 2)]
-    assert _recorded_order(r) is None
-    assert r.key_ordered is False
-    assert serialize(r) == "dfa 3 2 3 1 0\n0 1 1\n1 0 2\n1 1 2\n2\n"
+def test_sorting_into_key_order_allocates_nothing_per_state():
+    d, peak = _traced_peak(validate, 10**7, 2, [(5, 1, 0), (5, 0, 0)], 0, [])
+    assert peak < 2**20
+    assert d.transitions() == [(5, 0, 0), (5, 1, 0)]
 
 
-@pytest.mark.parametrize("text", [
-    "dfa 2 1 2 0 0\n0 0 1\n0 0 0\n",         # adjacent, in order otherwise
-    "dfa 3 2 3 0 0\n1 0 1\n0 1 2\n1 0 2\n",  # apart, out of order
+def _twin(text, *diagnostics, name=None):
+    return pytest.param(text, list(diagnostics), id=name or text)
+
+
+# Each text holds a repeated (tail, label) key; the diagnostics name
+# every repeat after the first, in the order of the text.
+@pytest.mark.parametrize("text, diagnostics", [
+    # adjacent, in order otherwise
+    _twin("dfa 2 1 2 0 0\n0 0 1\n0 0 0\n",
+          "duplicate transition key (tail=0, label=0) at transition #1"),
+    # apart, out of order
+    _twin("dfa 3 2 3 0 0\n1 0 1\n0 1 2\n1 0 2\n",
+          "duplicate transition key (tail=1, label=0) at transition #2"),
+    _twin("dfa 3 2 4 0 0\n1 1 0\n0 0 1\n0 1 2\n1 1 2\n",
+          "duplicate transition key (tail=1, label=1) at transition #3",
+          name="first-and-last-line"),
+    _twin("dfa 2 9 10 0 0\n0 3 1\n0 5 0\n0 0 1\n0 8 1\n0 1 0\n0 5 1\n"
+          "0 7 0\n0 2 1\n0 6 0\n0 4 1\n",
+          "duplicate transition key (tail=0, label=5) at transition #5",
+          name="many-labels-shuffled"),
+    _twin("dfa 2 9 10 0 0\n0 0 1\n0 1 0\n0 2 1\n0 3 1\n0 4 1\n0 5 0\n"
+          "0 5 1\n0 6 0\n0 7 0\n0 8 1\n",
+          "duplicate transition key (tail=0, label=5) at transition #6",
+          name="many-labels-in-order"),
+    _twin("dfa 3 2 6 1 0\n2 0 1\n0 1 2\n2 0 0\n1 1 1\n0 1 0\n2 0 2\n2\n",
+          "duplicate transition key (tail=2, label=0) at transition #2",
+          "duplicate transition key (tail=0, label=1) at transition #4",
+          "duplicate transition key (tail=2, label=0) at transition #5",
+          name="three-times-and-twice"),
 ])
-def test_repeated_key_is_refused_in_or_out_of_order(text):
-    with pytest.raises(ValidationError) as exc:
+def test_repeated_key_is_refused_in_or_out_of_order(text, diagnostics):
+    with pytest.raises(ValidationError) as parsed:
         parse(text)
-    assert "duplicate transition key" in str(exc.value)
+    # validate gets the same triples, in the order of the text
+    header, *lines = text.split("\n")
+    n, alpha, m = map(int, header.split(" ")[1:4])
+    triples = [tuple(map(int, line.split(" "))) for line in lines[:m]]
+    with pytest.raises(ValidationError) as validated:
+        validate(n, alpha, triples, 0, [])
+    assert parsed.value.diagnostics == validated.value.diagnostics == diagnostics
 
 
 def _brute_out_index(d):
@@ -592,17 +624,11 @@ def test_out_index_matches_brute_force_grouping():
     for d in cases:
         expected = _brute_out_index(d)
         empty_rows += sum(f == e for f, e in zip(expected[2], expected[2][1:]))
-        triples = d.transitions()
-        rng.shuffle(triples)
-        shuffled = PtDfa.from_triples(d.n, d.alpha, triples, d.initial,
-                                      d.finals)
         step = step_map(d)
-        for e in (d, shuffled):
-            labels, heads, first = e.out_index
-            assert (list(labels), list(heads), list(first)) == expected
-            assert e.out_index is e.out_index  # computed once
-            for _ in range(5):
-                word = [rng.randrange(d.alpha) for _ in range(rng.randrange(6))]
-                assert accepts(e, word) == word_run(step, d.initial, word,
-                                                    d.finals)
+        assert list(d.out_first) == expected[2]
+        assert (list(d.labels), list(d.heads)) == expected[:2]
+        assert d.out_first is d.out_first  # computed once
+        for _ in range(5):
+            word = [rng.randrange(d.alpha) for _ in range(rng.randrange(6))]
+            assert accepts(d, word) == word_run(step, d.initial, word, d.finals)
     assert empty_rows > 100  # states with no out-transitions

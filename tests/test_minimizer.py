@@ -388,8 +388,8 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
 
 
 @pytest.mark.parametrize("case, sorts", [
-    ("keeps_all", 1), ("drops_one", 2), ("shuffled", 2)])
-def test_key_ordered_input_is_counting_sorted_once(monkeypatch, case, sorts):
+    ("keeps_all", 1), ("drops_one", 2), ("shuffled", 1)])
+def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
     # State 3 reaches no final state when the transition 1 -1-> 3 is kept.
     lines = ["0 0 1", "0 1 2", "1 0 2", "2 0 0"]
     if case == "drops_one":
@@ -414,9 +414,9 @@ def test_key_ordered_input_is_counting_sorted_once(monkeypatch, case, sorts):
     monkeypatch.setattr(automaton, "_in_key_order",
                         counted("order checks", automaton._in_key_order))
     assert serialize(minimize(d)) == expected
-    # The in-index by head; a second one over the restricted automaton
-    # when a state is dropped, or the out-index of shuffled input, which
-    # parse already found out of order.
+    # The in-index by head, and a second one over the restricted
+    # automaton when a state is dropped; parse already sorted the
+    # shuffled input, so nothing sorts by tail.
     assert calls == {"bucket_by": sorts, "order checks": 0}
 
 
