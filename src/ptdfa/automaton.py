@@ -6,15 +6,19 @@ States are 0..n-1, labels are 0..alpha-1.  Transitions are held as three
 parallel int32 arrays (tail, label, head); the triple view is the API
 boundary.  Values are immutable once built and safe to share.
 
-Every automaton keeps its transitions in strictly increasing
-(tail, label) order, as it keeps them deterministic and in range.  The
-paper notes that its alpha-sized array "is not needed, if transitions
-are in a suitable order in the input", and every canonical text is in
-that order: :func:`parse` and :func:`validate` find it in one C-level
-pass, and sort other input into it once.  The labels and heads are then
-the out-index of each state in CSR (compressed sparse row) form, and
-only its n + 1 offsets (:attr:`PtDfa.out_first`) are counted, at most
-once.
+Every automaton keeps its transitions in strictly increasing (tail,
+label) order, as it keeps them deterministic and in range.  This is not
+the "suitable order" of the paper: there an alpha-sized array groups the
+transitions by label for the initial transition partition, and it "is
+not needed, if transitions are in a suitable order in the input", that
+is, grouped by label.  Here the label grouping needs no alpha-sized
+array whatever the order (:func:`ptdfa.splitter_init.init_trp_grouping`
+keys a dict by the labels that occur), and the (tail, label) order
+serves the out-index instead.  Every canonical text is in that order:
+:func:`parse` and :func:`validate` find it in one C-level pass, and sort
+other input into it once.  The labels and heads are then the out-index
+of each state in CSR (compressed sparse row) form, and only its n + 1
+offsets (:attr:`PtDfa.out_first`) are counted, at most once.
 """
 
 import json
@@ -530,7 +534,8 @@ class MinimizeStats:
     scan counters are bounded by them: splitter scan touches stay within
     m*(floor(lg n) + 1) and smaller-half rescan touches within
     m*floor(lg n) + m.  ``phases`` maps each step of the minimization
-    pipeline (``preprocess``, ``refine``, ``canonicalize``) to its
+    pipeline (``preprocess``, ``refine``, ``canonicalize``, and for the
+    completed-table baseline ``complete`` before ``refine``) to its
     seconds; the phases add up to ``seconds``.
     """
 

@@ -3,15 +3,24 @@
 The partial transition function is completed by adding one absorbing
 sink state that receives every missing transition and all of its own.
 Classic (block, symbol) worklist refinement then runs over the full
-table.  This is only the refinement step: the minimizer pipeline of
-:mod:`ptdfa.minimizer` does the preprocessing and builds the canonical
-quotient from the final blocks, the sink's block left out.  Time is
-O(alpha n log n) and memory Theta(alpha n) for the dense table and its
-reverse index, the deliberate contrast with the sparse O(m) path.
+table.  This is only the completion and the refinement: the minimizer
+pipeline of :mod:`ptdfa.minimizer` does the preprocessing, times the
+completion as its own ``complete`` phase, and builds the canonical
+quotient from the final blocks, the sink's block left out.
+
+Time is O(alpha n log n) and memory Theta(alpha n) for the dense table
+and its reverse index, the deliberate contrast with the sparse O(m)
+path.  The Theta(alpha n) memory stays on purpose, and so does the
+Theta(alpha) loop over the labels at every split.  Only the building of
+the table is kept lean: :func:`sink_complete` walks the m defined
+transitions and the alpha labels in Python, and each of its
+Theta(alpha n) passes (filling the rows, counting the sink's entries,
+the prefix sum of the counts, the sink's reverse entries) runs in C.
 """
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .automaton import MinimizeStats, PtDfa
 from .minimizer import _pipeline
@@ -40,29 +49,64 @@ class CompletedDfa:
 
 
 def sink_complete(d: PtDfa) -> CompletedDfa:
-    """Complete the transition function with an absorbing sink state."""
+    """Complete the transition function with an absorbing sink state.
+
+    The table (a list of lists) and its reverse index stay
+    Theta(alpha n) in memory on purpose: that is the baseline's regime.
+    Only the time to build them is kept low.  Python walks the m defined
+    transitions (twice) and the alpha labels; each pass over the
+    (n + 1) alpha cells runs in C:
+
+    - the rows start as ``[sink] * alpha``;
+    - a label-major mask of the missing transitions gives the sink's
+      counts (``bytearray.count``) and its predecessors, ascending
+      (``compress``);
+    - the offsets are one ``accumulate`` of the counts.
+
+    The accumulated offsets are built as the placement cursor, then
+    copied into the counts' buffer.  The cursor places the defined
+    transitions, which come in (tail, label) order, so each predecessor
+    set fills in ascending order, as the sink's do.  The cursor and each
+    label's sink predecessors are ``array("I")``, which C fills about
+    twice as fast as ``"i"``, with the same bytes, since no entry
+    reaches 2**31 (the table would need 16 GiB first).  No full-size
+    buffer is freed before the cursor is spent, and nothing of size m is
+    built: either would raise the process's peak memory.
+    """
     n, alpha = d.n, d.alpha
     sink = n
     total = n + 1
+    cells = total * alpha
     table = [[sink] * alpha for _ in range(total)]
+    # missing[a * total + q] is 1 when state q has no a-transition.
+    missing = bytearray(b"\x01") * cells
+    # offsets[k + 1] counts the predecessors under key k, then becomes
+    # the start of key k + 1; key q * alpha + a is state q, label a.
+    offsets = array("i", bytes(4 * (cells + 1)))
     for t, a, h in zip(d.tails, d.labels, d.heads):
         table[t][a] = h
-    cells = total * alpha
-    offsets = array("i", bytes(4 * (cells + 1)))
-    for q in range(total):
-        row = table[q]
-        for a in range(alpha):
-            offsets[row[a] * alpha + a + 1] += 1
-    for k in range(cells):
-        offsets[k + 1] += offsets[k]
-    cursor = array("i", offsets[:cells])
+        missing[a * total + t] = 0
+        offsets[h * alpha + a + 1] += 1
+    base = sink * alpha
+    for a in range(alpha):
+        offsets[base + a + 1] = missing.count(1, a * total, (a + 1) * total)
+    cursor = array("I", accumulate(offsets))
+    memoryview(offsets).cast("B")[:] = memoryview(cursor).cast("B")
     elems = array("i", bytes(4 * cells))
-    for q in range(total):
-        row = table[q]
+    for t, a, h in zip(d.tails, d.labels, d.heads):
+        k = h * alpha + a
+        elems[cursor[k]] = t
+        cursor[k] += 1
+    del cursor
+    # One int object per state for every label's compress, where a
+    # range would make one per cell; made once the cursor is freed.
+    states = list(range(total))
+    with memoryview(elems).cast("B") as elem_bytes:
         for a in range(alpha):
-            key = row[a] * alpha + a
-            elems[cursor[key]] = q
-            cursor[key] += 1
+            preds = array("I", compress(states,
+                                        missing[a * total:(a + 1) * total]))
+            lo = 4 * offsets[base + a]
+            elem_bytes[lo:lo + 4 * len(preds)] = memoryview(preds).cast("B")
     return CompletedDfa(total, alpha, sink, table, elems, offsets, d.initial,
                         d.finals)
 
@@ -96,11 +140,10 @@ def _refine_total(c: CompletedDfa):
         b, a = work.pop()
         flags[b][a] = 0
         hits = {}
-        for s in list(blocks[b]):
+        for s in blocks[b]:
             lo = off[s * alpha + a]
             hi = off[s * alpha + a + 1]
-            for k in range(lo, hi):
-                q = inv[k]
+            for q in inv[lo:hi]:
                 yb = block_of[q]
                 if yb in hits:
                     hits[yb].append(q)
@@ -135,12 +178,11 @@ def _refine_total(c: CompletedDfa):
     return blocks, block_of, splits, touches
 
 
-def _refine_completed(dp: PtDfa, stats: MinimizeStats, in_index) -> list:
+def _refine_completed(c: CompletedDfa, stats: MinimizeStats, in_index) -> list:
     """The completed-table refiner: the final block of each state of
-    ``dp``, without the sink's block.  It scans its own reverse index
-    of the table; ``in_index`` is None, since ``hopcroft_minimize``
-    asks the pipeline not to build one."""
-    c = sink_complete(dp)
+    the preprocessed automaton that ``c`` completes, without the sink's
+    block.  It scans the reverse index of ``c``; ``in_index`` is None,
+    since the pipeline builds none for a refiner of a completed table."""
     blocks, block_of, stats.splits, stats.splitter_touches = _refine_total(c)
     sink_block = block_of.pop()
     # Preprocessing left every state a nonempty language, so none shares
@@ -153,7 +195,9 @@ def hopcroft_minimize(d: PtDfa):
     """Minimize via the completed-table baseline.
 
     Returns (out, stats); ``out`` is canonical and identical to what the
-    sparse minimizer produces.
+    sparse minimizer produces.  ``stats.phases`` times ``preprocess``,
+    ``complete`` (:func:`sink_complete`), ``refine`` and
+    ``canonicalize``.
     """
-    _, _, out, stats = _pipeline(d, _refine_completed, share_in_index=False)
+    _, _, out, stats = _pipeline(d, _refine_completed, complete=sink_complete)
     return out, stats

@@ -32,13 +32,14 @@ been passed to ``RefinablePartition.split``.
 
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
-refiner: dead-state removal, the empty-language answer, the refiner's
-final block of each state, then ``canonicalize``, which builds the
-canonical quotient straight from those blocks, or only renumbers the
-automaton when no two states merged.  The incoming transitions of each
-state are grouped once, in the CSR form of the out-index
-(:func:`bucket_by`), for dead-state removal, and handed on to this
-refiner when that removal kept every state.
+refiner, whose input the baseline first completes: dead-state removal,
+the empty-language answer, the refiner's final block of each state,
+then ``canonicalize``, which builds the canonical quotient straight
+from those blocks, or only renumbers the automaton when no two states
+merged.  The incoming transitions of each state are grouped once, in
+the CSR form of the out-index (:func:`bucket_by`), for dead-state
+removal, and handed on to this refiner when that removal kept every
+state.
 """
 
 from array import array
@@ -276,39 +277,50 @@ class Refinement:
         brp.split_calls += trivial
 
 
-def _pipeline(d: PtDfa, refine, share_in_index: bool = True):
+def _pipeline(d: PtDfa, refine, complete=None):
     """The minimization steps shared by every refiner.
 
     Removes dead states, answers an empty language with the one-state
     empty automaton, and otherwise calls ``refine(dp, stats, in_index)``
-    on the preprocessed automaton ``dp``.  The refiner fills its
-    counters into ``stats`` and returns the final block of each state
-    of ``dp``, numbered densely from 0; the result is the canonical
-    quotient by those blocks, which ``canonicalize`` skips when every
-    block is a single state.  Returns ``(dp, blocks, out, stats)``, with
-    ``blocks`` None when no refinement ran; ``stats.phases`` holds the
-    seconds of the preprocessing, the refiner call and the quotient.
+    on the preprocessed automaton ``dp``, or ``refine(complete(dp),
+    stats, None)`` when a ``complete`` step is given.  The refiner fills
+    its counters into ``stats`` and returns the final block of each
+    state of ``dp``, numbered densely from 0; the result is the
+    canonical quotient by those blocks, which ``canonicalize`` skips
+    when every block is a single state.  Returns ``(dp, blocks, out,
+    stats)``, with ``blocks`` None when no refinement ran;
+    ``stats.phases`` holds the seconds of the preprocessing, of the
+    ``complete`` step if there is one, of the refiner call and of the
+    quotient.
 
     The incoming transitions of each state, ``bucket_by(d.heads,
     d.n)``, are grouped once: dead-state removal walks them, and when it
     keeps every state (``dp is d``) the refiner gets them as
-    ``in_index``; otherwise ``in_index`` is None.  A caller whose
-    refiner has no use for them (hopcroft) passes
-    ``share_in_index=False``, so that none are built here or held while
-    the refiner runs.
+    ``in_index``; otherwise ``in_index`` is None.  A refiner of a
+    completed automaton (hopcroft) has no use for them, so with a
+    ``complete`` step none are built here or held while it runs.
     """
     t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
-    in_index = bucket_by(d.heads, d.n) if share_in_index else None
+    in_index = bucket_by(d.heads, d.n) if complete is None else None
     dp = restrict(d, relevant_states(d, in_index))
     if dp is not d:
         in_index = None
     stats.n_core = dp.n
     stats.m_core = dp.m
     t1 = perf_counter()
+    stats.phases["preprocess"] = t1 - t0
+    if complete is None:
+        source = dp
+    else:
+        source = complete(dp) if dp.finals else None
+        t2 = perf_counter()
+        stats.phases["complete"] = t2 - t1
+        t1 = t2
     if dp.finals:
-        blocks = refine(dp, stats, in_index)
-        in_index = None  # not held while the quotient is built
+        blocks = refine(source, stats, in_index)
+        # Neither is held while the quotient is built.
+        source = in_index = None
         t2 = perf_counter()
         out = canonicalize(dp, blocks)
     else:
@@ -318,8 +330,8 @@ def _pipeline(d: PtDfa, refine, share_in_index: bool = True):
     t3 = perf_counter()
     stats.n_out = out.n
     stats.m_out = out.m
-    stats.phases = {"preprocess": t1 - t0, "refine": t2 - t1,
-                    "canonicalize": t3 - t2}
+    stats.phases["refine"] = t2 - t1
+    stats.phases["canonicalize"] = t3 - t2
     stats.seconds = t3 - t0
     return dp, blocks, out, stats
 

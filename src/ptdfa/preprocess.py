@@ -14,6 +14,7 @@ that every PtDfa is in.
 """
 
 from array import array
+from itertools import compress
 
 from .automaton import AutomatonError, PtDfa, bucket_by
 
@@ -64,7 +65,9 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
                 bwd[t] = 1
                 stack.append(t)
 
-    keep = {q for q in range(n) if fwd[q] and bwd[q]}
+    # The marks are 0/1 bytes, so one big-int AND intersects them in C.
+    both = int.from_bytes(fwd, "little") & int.from_bytes(bwd, "little")
+    keep = set(compress(range(n), both.to_bytes(n, "little")))
     keep.add(d.initial)
     return keep
 

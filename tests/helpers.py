@@ -2,8 +2,11 @@
 reference parser, the sort-every-time reference serializer, a plain
 breadth-first reference renumbering, the one-step-per-transition
 reference label grouping, the call-per-split reference refinement loop,
-brute-force language tools, and the exhaustive tiny-automaton sweep."""
+the cell-by-cell reference completion and completed-table refinement,
+the state-by-state reference keep set, brute-force language tools, and
+the exhaustive tiny-automaton sweep."""
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -12,6 +15,8 @@ from ptdfa import (
     ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError, ValidationError, hopcroft_minimize,
     minimize_with_stats,
 )
+from ptdfa.automaton import bucket_by
+from ptdfa.hopcroft import CompletedDfa
 from ptdfa.oracle import oracle_minimize
 
 
@@ -338,6 +343,129 @@ class ReferenceRefinement(Refinement):
             while touched:
                 split_block(touched_remove())
         self.splitter_touches += touches
+
+
+def reference_sink_complete(d: PtDfa) -> CompletedDfa:
+    """Reference for ``sink_complete``: the table filled row by row, and
+    its reverse index counted, summed and placed one cell at a time."""
+    n, alpha = d.n, d.alpha
+    sink = n
+    total = n + 1
+    table = [[sink] * alpha for _ in range(total)]
+    for t, a, h in zip(d.tails, d.labels, d.heads):
+        table[t][a] = h
+    cells = total * alpha
+    offsets = array("i", bytes(4 * (cells + 1)))
+    for q in range(total):
+        row = table[q]
+        for a in range(alpha):
+            offsets[row[a] * alpha + a + 1] += 1
+    for k in range(cells):
+        offsets[k + 1] += offsets[k]
+    cursor = array("i", offsets[:cells])
+    elems = array("i", bytes(4 * cells))
+    for q in range(total):
+        row = table[q]
+        for a in range(alpha):
+            key = row[a] * alpha + a
+            elems[cursor[key]] = q
+            cursor[key] += 1
+    return CompletedDfa(total, alpha, sink, table, elems, offsets, d.initial,
+                        d.finals)
+
+
+def reference_refine_total(c: CompletedDfa):
+    """Reference for ``hopcroft._refine_total``: the popped block is
+    copied before its scan and the reverse index read entry by entry.
+    Returns (blocks, block_of, splits, touches)."""
+    alpha = c.alpha
+    fin = set(c.finals)
+    nonfin = set(range(c.n)) - fin
+    blocks = [fin, nonfin]
+    block_of = [1] * c.n
+    for q in fin:
+        block_of[q] = 0
+    flags = [bytearray(alpha), bytearray(alpha)]
+    work = []
+    small = 0 if len(fin) <= len(nonfin) else 1
+    for a in range(alpha):
+        work.append((small, a))
+        flags[small][a] = 1
+    inv = c.inv_elems
+    off = c.inv_offsets
+    touches = 0
+    splits = 0
+    while work:
+        b, a = work.pop()
+        flags[b][a] = 0
+        hits = {}
+        for s in list(blocks[b]):
+            lo = off[s * alpha + a]
+            hi = off[s * alpha + a + 1]
+            for k in range(lo, hi):
+                q = inv[k]
+                yb = block_of[q]
+                if yb in hits:
+                    hits[yb].append(q)
+                else:
+                    hits[yb] = [q]
+            touches += hi - lo
+        for yb, qs in hits.items():
+            y = blocks[yb]
+            if len(qs) == len(y):
+                continue
+            part = set(qs)
+            y -= part
+            nz = len(blocks)
+            blocks.append(part)
+            for q in part:
+                block_of[q] = nz
+            fz = bytearray(alpha)
+            flags.append(fz)
+            fy = flags[yb]
+            part_smaller = len(part) <= len(y)
+            for sym in range(alpha):
+                if fy[sym]:
+                    fz[sym] = 1
+                    work.append((nz, sym))
+                elif part_smaller:
+                    fz[sym] = 1
+                    work.append((nz, sym))
+                else:
+                    fy[sym] = 1
+                    work.append((yb, sym))
+            splits += 1
+    return blocks, block_of, splits, touches
+
+
+def reference_relevant_states(d: PtDfa) -> set:
+    """Reference for ``relevant_states``: forward and backward marks,
+    intersected state by state in a set comprehension."""
+    n = d.n
+    fwd = bytearray(n)
+    fwd[d.initial] = 1
+    stack = [d.initial]
+    while stack:
+        q = stack.pop()
+        for h in d.heads[d.out_first[q]:d.out_first[q + 1]]:
+            if not fwd[h]:
+                fwd[h] = 1
+                stack.append(h)
+    in_order, in_first = bucket_by(d.heads, n)
+    bwd = bytearray(n)
+    stack = list(d.finals)
+    for q in stack:
+        bwd[q] = 1
+    while stack:
+        q = stack.pop()
+        for k in range(in_first[q], in_first[q + 1]):
+            t = d.tails[in_order[k]]
+            if not bwd[t]:
+                bwd[t] = 1
+                stack.append(t)
+    keep = {q for q in range(n) if fwd[q] and bwd[q]}
+    keep.add(d.initial)
+    return keep
 
 
 def all_words(alpha, max_len):

@@ -100,6 +100,14 @@ def test_minimize_stats_go_to_stderr():
               if line.startswith("phase.")]
     assert phases == ["phase.parse", "phase.preprocess", "phase.refine",
                       "phase.canonicalize", "phase.serialize"]
+    # Hopcroft times building its completed table as a phase of its own.
+    r = run_cli("minimize", "--algo", "hopcroft", "--stats",
+                stdin=serialize(generate(12, 3, 0.5, 6, seed=2)))
+    assert r.returncode == 0
+    phases = [line.split("=")[0] for line in r.stderr.splitlines()
+              if line.startswith("phase.")]
+    assert phases == ["phase.parse", "phase.preprocess", "phase.complete",
+                      "phase.refine", "phase.canonicalize", "phase.serialize"]
     # The oracle's stats have no phases; the CLI still times its own calls.
     r = run_cli("minimize", "--algo", "oracle", "--stats",
                 stdin=serialize(generate(12, 3, 0.5, 6, seed=2)))

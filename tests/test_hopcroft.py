@@ -2,8 +2,11 @@ import random
 
 from ptdfa import (
     PtDfa, empty_dfa, generate, hopcroft_minimize, minimize, oracle_minimize,
-    sink_complete,
+    relevant_states, restrict, sink_complete,
 )
+from ptdfa.hopcroft import _refine_total
+
+from helpers import reference_refine_total, reference_sink_complete
 
 
 def test_sink_complete_table_shape():
@@ -28,6 +31,36 @@ def test_sink_complete_reverse_index_matches_table():
                 preds = sorted(c.inv_elems[c.inv_offsets[k]:c.inv_offsets[k + 1]])
                 assert preds == sorted(q for q in range(c.n)
                                        if c.table[q][a] == s)
+
+
+def _differential_cases():
+    """Random automata of every density, the total one included, plus
+    the edge cases: no transitions, and a one-letter alphabet."""
+    rng = random.Random(63)
+    for i in range(520):
+        n = rng.randrange(1, 10)
+        alpha = 1 if i % 5 == 0 else rng.randrange(1, 6)
+        p = rng.choice([0.1, 0.3, 0.5, 0.8, 1.0])
+        yield generate(n, alpha, p, rng.randrange(0, n + 1), seed=7000 + i)
+    for n in (1, 2, 5):
+        for alpha in (1, 3):
+            yield PtDfa.from_triples(n, alpha, [], 0, {0})
+            yield PtDfa.from_triples(n, alpha, [], 0, {n - 1})
+
+
+def test_sink_complete_and_refinement_match_cell_by_cell_references():
+    seen = {"m0": 0, "alpha1": 0, "total": 0, "restricted": 0}
+    for d in _differential_cases():
+        dp = restrict(d, relevant_states(d))
+        seen["m0"] += d.m == 0
+        seen["alpha1"] += d.alpha == 1
+        seen["total"] += d.m == d.n * d.alpha
+        seen["restricted"] += dp is not d
+        for e in (d, dp):
+            c = sink_complete(e)
+            assert c == reference_sink_complete(e)
+            assert _refine_total(c) == reference_refine_total(c)
+    assert min(seen.values()) > 0, seen
 
 
 def test_agrees_with_minimize_on_random_instances():

@@ -299,15 +299,19 @@ def test_stats_reports_sizes():
 def test_stats_time_each_pipeline_phase():
     empty = PtDfa.from_triples(3, 2, [(0, 0, 1)], 0, set())
     for d in (generate(60, 3, 0.5, 30, seed=124), empty):
-        for run in (minimize_with_stats, hopcroft_minimize):
+        for run, phases in (
+                (minimize_with_stats, ["preprocess", "refine",
+                                       "canonicalize"]),
+                (hopcroft_minimize, ["preprocess", "complete", "refine",
+                                     "canonicalize"])):
             _, stats = run(d)
-            assert list(stats.phases) == ["preprocess", "refine",
-                                          "canonicalize"]
+            assert list(stats.phases) == phases
             assert min(stats.phases.values()) >= 0.0
             assert sum(stats.phases.values()) <= stats.seconds
             lines = stats.as_lines()
-            assert lines[-3:] == [f"phase.{name}={sec:.6f}"
-                                  for name, sec in stats.phases.items()]
+            assert lines[-len(phases):] == [
+                f"phase.{name}={sec:.6f}"
+                for name, sec in stats.phases.items()]
 
 
 def test_final_blocks_satisfy_both_partition_conditions():

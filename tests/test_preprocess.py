@@ -8,7 +8,7 @@ from ptdfa import (
 )
 from ptdfa.automaton import bucket_by
 
-from helpers import all_words, brute_relevant
+from helpers import all_words, brute_relevant, reference_relevant_states
 
 
 def test_bucket_by_groups_indices():
@@ -59,6 +59,17 @@ def test_relevant_matches_brute_force_on_random_inputs():
         assert relevant_states(d) == brute_relevant(d)
         assert relevant_states(d, bucket_by(d.heads, d.n)) == \
             brute_relevant(d)
+
+
+def test_relevant_matches_the_state_by_state_keep_set():
+    # Sizes around and across byte and word boundaries of the big-int
+    # AND that intersects the forward and backward marks.
+    rng = random.Random(32)
+    for i in range(300):
+        n = rng.choice([1, 2, 7, 8, 9, 63, 64, 65, rng.randrange(1, 200)])
+        d = generate(n, rng.randrange(1, 4), rng.choice([0.05, 0.2, 0.5]),
+                     rng.randrange(0, min(n, 3) + 1), seed=2000 + i)
+        assert relevant_states(d) == reference_relevant_states(d)
 
 
 def test_restrict_to_all_states_is_identity():
