@@ -8,14 +8,16 @@ pipeline of :mod:`ptdfa.minimizer` does the preprocessing, times the
 completion as its own ``complete`` phase, and builds the canonical
 quotient from the final blocks, the sink's block left out.
 
-Time is O(alpha n log n) and memory Theta(alpha n) for the dense table
-and its reverse index, the deliberate contrast with the sparse O(m)
-path.  The Theta(alpha n) memory stays on purpose, and so does the
-Theta(alpha) loop over the labels at every split.  Only the building of
-the table is kept lean: :func:`sink_complete` walks the m defined
-transitions and the alpha labels in Python, and each of its
-Theta(alpha n) passes (filling the rows, counting the sink's entries,
-the prefix sum of the counts, the sink's reverse entries) runs in C.
+Time is O(alpha n log n) and memory Theta(alpha n) for the dense table,
+its reverse index and the worklist of pending (block, label) pairs, the
+deliberate contrast with the sparse O(m) path.  The Theta(alpha n)
+memory stays on purpose, and so does the Theta(alpha) loop over the
+labels at every split.  Only the constants are kept lean:
+:func:`sink_complete` walks the m defined transitions and the alpha
+labels in Python, and each of its Theta(alpha n) passes (filling the
+rows, counting the sink's entries, the prefix sum of the counts, the
+sink's reverse entries) runs in C; the refinement holds its pending
+pairs in two int32 stacks popped together, 8 bytes a pair.
 """
 
 from array import array
@@ -118,6 +120,14 @@ def _refine_total(c: CompletedDfa):
     symbol) pair is processed against the block's current contents; when
     a block splits, pairs pending on it stay pending for both halves,
     and otherwise only the smaller half is queued.
+
+    The pending pairs are two parallel int32 stacks, ``work_b`` for the
+    blocks and ``work_a`` for the symbols, pushed and popped together:
+    8 bytes a pair, where a list of tuples costs about 89.  A split still
+    runs the Theta(alpha) loop over the labels, which pushes its blocks
+    one by one; its symbols, always 0..alpha-1 in order, go on with one
+    C-level ``extend``.  A popped pair whose states have no predecessors
+    under its symbol builds nothing.
     """
     alpha = c.alpha
     fin = set(c.finals)
@@ -127,22 +137,29 @@ def _refine_total(c: CompletedDfa):
     for q in fin:
         block_of[q] = 0
     flags = [bytearray(alpha), bytearray(alpha)]
-    work = []
     small = 0 if len(fin) <= len(nonfin) else 1
-    for a in range(alpha):
-        work.append((small, a))
-        flags[small][a] = 1
+    flags[small][:] = b"\x01" * alpha
+    syms = array("i", range(alpha))
+    work_b = array("i", [small]) * alpha
+    work_a = array("i", syms)
+    push_b = work_b.append
     inv = c.inv_elems
     off = c.inv_offsets
     touches = 0
     splits = 0
-    while work:
-        b, a = work.pop()
+    while work_b:
+        b = work_b.pop()
+        a = work_a.pop()
         flags[b][a] = 0
-        hits = {}
+        hits = None
         for s in blocks[b]:
-            lo = off[s * alpha + a]
-            hi = off[s * alpha + a + 1]
+            k = s * alpha + a
+            lo = off[k]
+            hi = off[k + 1]
+            if lo == hi:
+                continue
+            if hits is None:
+                hits = {}
             for q in inv[lo:hi]:
                 yb = block_of[q]
                 if yb in hits:
@@ -150,6 +167,8 @@ def _refine_total(c: CompletedDfa):
                 else:
                     hits[yb] = [q]
             touches += hi - lo
+        if hits is None:
+            continue
         for yb, qs in hits.items():
             y = blocks[yb]
             if len(qs) == len(y):
@@ -167,13 +186,14 @@ def _refine_total(c: CompletedDfa):
             for sym in range(alpha):
                 if fy[sym]:
                     fz[sym] = 1
-                    work.append((nz, sym))
+                    push_b(nz)
                 elif part_smaller:
                     fz[sym] = 1
-                    work.append((nz, sym))
+                    push_b(nz)
                 else:
                     fy[sym] = 1
-                    work.append((yb, sym))
+                    push_b(yb)
+            work_a.extend(syms)
             splits += 1
     return blocks, block_of, splits, touches
 

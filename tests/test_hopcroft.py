@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from ptdfa import (
     PtDfa, empty_dfa, generate, hopcroft_minimize, minimize, oracle_minimize,
@@ -61,6 +62,28 @@ def test_sink_complete_and_refinement_match_cell_by_cell_references():
             assert c == reference_sink_complete(e)
             assert _refine_total(c) == reference_refine_total(c)
     assert min(seen.values()) > 0, seen
+
+
+def test_refinement_peak_stays_below_the_completed_table():
+    # About 300 splits over a 300-letter alphabet, each queueing 300
+    # pending pairs.  Held as two int32 stacks they stay well below the
+    # table that the refinement scans; as a list of (block, symbol)
+    # tuples they would take about 3.5 times the table.
+    d = generate(300, 300, 0.1, 150, seed=3)
+    dp = restrict(d, relevant_states(d))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = sink_complete(dp)
+        table_bytes = tracemalloc.get_traced_memory()[0] - before
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, _, splits, _ = _refine_total(c)
+        refine_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert splits > 250
+    assert refine_peak < table_bytes, (refine_peak, table_bytes)
 
 
 def test_agrees_with_minimize_on_random_instances():
