@@ -24,7 +24,7 @@ offsets (:attr:`PtDfa.out_first`) are counted, at most once.
 import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import add, lt, mul
@@ -314,14 +314,17 @@ def _above_int32(numeral: str) -> bool:
 def _value(numeral: str, long: dict) -> int:
     """``int(numeral)``, or, for a numeral too long for ``int()``, a
     stand-in built in linear time, entered in ``long`` with the text
-    that :func:`_decimal` shows for the number.  Stand-ins exceed every
-    number ``int()`` converts and compare by digit count, then by the
-    leading 20 digits, as those shortened numbers would."""
+    that :func:`_decimal` shows for the number.  The stand-in is the
+    numeral's ASCII bytes read as one big-endian number: one value per
+    numeral, ordered as the numbers are (a numeral has no leading zero,
+    so a longer one has more bytes), and above every number ``int()``
+    converts (a d-digit numeral's stand-in is at least 256**(d-1), and
+    every numeral that ``int()`` converts is shorter)."""
     try:
         return int(numeral)
     except ValueError:
         digits = len(numeral)
-        stand_in = int(numeral[:20]) << 4 * digits  # 16**digits > 10**digits
+        stand_in = int.from_bytes(numeral.encode(), "big")
         long[stand_in] = f"{numeral[:20]}...({digits} digits)"
         return stand_in
 
@@ -561,17 +564,10 @@ class MinimizeStats:
                 and self.small_half_touches <= self.m_core * lg + self.m_core)
 
     def as_lines(self) -> list:
-        """key=value lines for diagnostic output."""
-        return [
-            f"n_in={self.n_in}",
-            f"m_in={self.m_in}",
-            f"alpha={self.alpha}",
-            f"n_out={self.n_out}",
-            f"m_out={self.m_out}",
-            f"n_core={self.n_core}",
-            f"m_core={self.m_core}",
-            f"splits={self.splits}",
-            f"splitter_touches={self.splitter_touches}",
-            f"small_half_touches={self.small_half_touches}",
-            f"seconds={self.seconds:.6f}",
-        ] + [f"phase.{name}={sec:.6f}" for name, sec in self.phases.items()]
+        """key=value lines for diagnostic output: the counters in
+        declaration order, ``seconds``, then one ``phase.<name>`` line
+        per phase."""
+        counters = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                    if f.type is int]
+        return counters + [f"seconds={self.seconds:.6f}"] + [
+            f"phase.{name}={sec:.6f}" for name, sec in self.phases.items()]

@@ -30,16 +30,22 @@ CSV_COLUMNS = ["algo", "n", "alpha", "p", "d", "seed", "m_in", "states_out",
 _TOUCH_COLUMN = {"valmari": "splitter_touches", "hopcroft": "reverse_touches"}
 
 
-def generate(n: int, alpha: int, p: float, k: int, seed: int) -> PtDfa:
-    """Random PT-DFA: m = round(p*n*alpha) distinct (tail, label) pairs
-    sampled uniformly, heads uniform, a uniform k-subset of final
-    states, initial state 0.  Deterministic for a given seed."""
+def _check_cell(n: int, alpha: int, p: float) -> None:
+    """Raise ValueError unless :func:`generate` can build automata with
+    n states, alpha labels and density p."""
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
     if alpha < 1:
         raise ValueError(f"need at least one symbol, got alpha={alpha}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {p}")
+
+
+def generate(n: int, alpha: int, p: float, k: int, seed: int) -> PtDfa:
+    """Random PT-DFA: m = round(p*n*alpha) distinct (tail, label) pairs
+    sampled uniformly, heads uniform, a uniform k-subset of final
+    states, initial state 0.  Deterministic for a given seed."""
+    _check_cell(n, alpha, p)
     if not 0 <= k <= n:
         raise ValueError(f"final count {k} out of range 0..{n}")
     m = int(round(p * n * alpha))
@@ -81,39 +87,33 @@ ALGORITHMS = {
 }
 
 
-def bench(cells, algos=("valmari",), seeds=(0,), d_offsets=(-1, 0, 1)):
+def bench(cells, algos=("valmari",), seeds=(0,)):
     """Run the timing grid and return one result dict per
     (cell, algo, seed), in grid order.
 
-    Each row times one minimization per d offset (|F| = n//2 + d,
-    clamped to 0..n) and reports the fastest and slowest; generation and
-    I/O are excluded from the timings.  Sizes and counters come from the
-    d = 0 run (or the first offset when 0 is absent).  Running out of
-    memory is reported as the row outcome, not raised.
+    Each row times one minimization per offset d in -1, 0, 1 (|F| =
+    n//2 + d, clamped to 0..n) and reports the fastest and slowest;
+    generation and I/O are excluded from the timings.  Sizes and
+    counters come from the d = 0 run.  Running out of memory is reported
+    as the row outcome, not raised.
     """
-    report_d = 0 if 0 in d_offsets else d_offsets[0]
     rows = []
     for n, alpha, p in cells:
         for algo in algos:
             runner = ALGORITHMS[algo]
             for seed in seeds:
-                row = {
-                    "algo": algo, "n": n, "alpha": alpha, "p": p,
-                    "d": report_d, "seed": seed,
-                    "m_in": "", "states_out": "", "trans_out": "",
-                    "splits": "", "splitter_touches": "",
-                    "reverse_touches": "",
-                    "millis_min": "", "millis_max": "", "outcome": "ok",
-                }
+                row = dict.fromkeys(CSV_COLUMNS, "")
+                row.update(algo=algo, n=n, alpha=alpha, p=p, d=0, seed=seed,
+                           outcome="ok")
                 millis = []
                 try:
-                    for d in d_offsets:
+                    for d in (-1, 0, 1):
                         k = min(n, max(0, n // 2 + d))
                         inp = generate(n, alpha, p, k, seed)
                         t0 = perf_counter()
                         _, stats = runner(inp)
                         millis.append((perf_counter() - t0) * 1000.0)
-                        if d == report_d:
+                        if d == 0:
                             row["m_in"] = inp.m
                             row["states_out"] = stats.n_out
                             row["trans_out"] = stats.m_out
@@ -140,17 +140,20 @@ def rows_to_csv(rows) -> str:
 
 def parse_grid(text: str):
     """Parse a grid file: one ``n,alpha,p`` cell per line, ``#`` comments
-    and blank lines ignored."""
+    and blank lines ignored.  A cell that :func:`generate` would refuse
+    raises ValueError, quoting the cell."""
     cells = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line in text.splitlines():
+        cell = line.strip()
+        if not cell or cell.startswith("#"):
             continue
-        parts = stripped.split(",")
+        parts = cell.split(",")
         if len(parts) != 3:
-            raise ValueError(f"grid line {lineno}: expected 'n,alpha,p'")
+            raise ValueError(f"cell {cell!r}: expected 'n,alpha,p'")
         try:
-            cells.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ValueError(f"grid line {lineno}: bad number") from None
+            n, alpha, p = int(parts[0]), int(parts[1]), float(parts[2])
+            _check_cell(n, alpha, p)
+        except ValueError as exc:
+            raise ValueError(f"cell {cell!r}: {exc}") from None
+        cells.append((n, alpha, p))
     return cells

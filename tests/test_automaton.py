@@ -139,7 +139,13 @@ def test_parse_refuses_numbers_above_int32():
     # listed by value, the longer one last
     (f"dfa 2 1 0 2 0\n1{'0' * 4399}\n1{'0' * 4301}\n",
      (2, 1, [], 0, [10**4399, 10**4301])),
-], ids=["duplicate-key", "final-states", "too-long-for-int", "too-long-finals"])
+    # equal length and leading digits, yet two numbers
+    (f"dfa 2 1 2 0 0\n1{'0' * 4999} 0 1\n1{'0' * 4998}1 0 1\n",
+     (2, 1, [(10**4999, 0, 1), (10**4999 + 1, 0, 1)], 0, [])),
+    (f"dfa 2 1 0 2 0\n1{'0' * 4999}\n1{'0' * 4998}1\n",
+     (2, 1, [], 0, [10**4999, 10**4999 + 1])),
+], ids=["duplicate-key", "final-states", "too-long-for-int", "too-long-finals",
+        "too-long-tails-differ-late", "too-long-finals-differ-late"])
 def test_parse_above_int32_gives_the_diagnostics_of_validate(text, args):
     with pytest.raises(ValidationError) as parsed:
         parse(text)

@@ -113,8 +113,10 @@ def test_minimize_stats_go_to_stderr():
                 stdin=serialize(generate(12, 3, 0.5, 6, seed=2)))
     assert r.returncode == 0
     stats = dict(line.split("=") for line in r.stderr.splitlines())
-    assert [key for key in stats if key.startswith("phase.")] == \
-        ["phase.parse", "phase.serialize"]
+    assert list(stats) == [
+        "n_in", "m_in", "alpha", "n_out", "m_out", "n_core", "m_core",
+        "splits", "splitter_touches", "small_half_touches", "seconds",
+        "phase.parse", "phase.serialize"]
     assert min(float(stats["phase.parse"]), float(stats["phase.serialize"]),
                float(stats["seconds"])) >= 0.0
 
@@ -132,6 +134,11 @@ def test_generate_zero_density_exits_2():
     r = run_cli("generate", "--states", "5", "--alphabet", "2",
                 "--density", "0")
     assert r.returncode == 2
+    assert r.stderr == "usage error: density must be in (0, 1], got 0.0\n"
+    r = run_cli("generate", "--states", "0", "--alphabet", "2",
+                "--density", "0.5")
+    assert r.returncode == 2
+    assert r.stderr == "usage error: need at least one state, got n=0\n"
 
 
 def test_generate_emits_requested_transition_count():
@@ -203,9 +210,21 @@ def test_bench_grid_file_and_seeds(tmp_path: Path):
     assert len(r.stdout.splitlines()) == 1 + 2 * 2 * 2
 
 
-def test_bench_invalid_cell_exits_2():
-    r = run_cli("bench", "--cell", "12,2")
-    assert r.returncode == 2
+def test_bench_invalid_cell_exits_2(tmp_path: Path):
+    grid = tmp_path / "cells.grid"
+    for cell, message in (
+            ("12,2", "expected 'n,alpha,p'"),
+            # Refused by the check that generate itself makes.
+            ("0,2,0.5", "need at least one state, got n=0"),
+            ("10,0,0.5", "need at least one symbol, got alpha=0"),
+            ("10,2,1.5", "density must be in (0, 1], got 1.5")):
+        grid.write_text(f"8,2,0.5\n{cell}\n")
+        for args in (("--cell", cell), ("--cell", "8,2,0.5", "--cell", cell),
+                     ("--grid", str(grid))):
+            r = run_cli("bench", *args)
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert r.stderr == f"usage error: cell {cell!r}: {message}\n"
 
 
 def test_bench_without_cells_exits_2():

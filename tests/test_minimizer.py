@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
 from ptdfa import (
-    PtDfa, Refinement, accepts, empty_dfa, final_blocks, generate,
+    MinimizeStats, PtDfa, Refinement, accepts, empty_dfa, final_blocks, generate,
     hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
     oracle_minimize, parse, relevant_states, restrict, serialize,
 )
@@ -312,6 +313,9 @@ def test_stats_time_each_pipeline_phase():
             assert lines[-len(phases):] == [
                 f"phase.{name}={sec:.6f}"
                 for name, sec in stats.phases.items()]
+            assert [line.split("=")[0] for line in lines] == [
+                f.name for f in fields(MinimizeStats) if f.name != "phases"
+            ] + [f"phase.{name}" for name in phases]
 
 
 def test_final_blocks_satisfy_both_partition_conditions():

@@ -130,6 +130,11 @@ def test_parse_grid_rejects_garbage():
         parse_grid("10,2\n")
     with pytest.raises(ValueError):
         parse_grid("a,b,c\n")
+    # Cells that generate refuses.
+    for cell in ("0,2,0.5", "10,0,0.5", "10,2,0", "10,2,1.5"):
+        with pytest.raises(ValueError) as exc:
+            parse_grid(f"10,2,0.5\n{cell}\n")
+        assert str(exc.value).startswith(f"cell '{cell}': ")
 
 
 def test_shipped_grid_matches_published_sweep_shape():
