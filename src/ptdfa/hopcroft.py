@@ -16,8 +16,8 @@ labels at every split.  Only the constants are kept lean:
 :func:`sink_complete` walks the m defined transitions and the alpha
 labels in Python, and each of its Theta(alpha n) passes (filling the
 rows, counting the sink's entries, the prefix sum of the counts, the
-sink's reverse entries) runs in C; the refinement holds its pending
-pairs in two int32 stacks popped together, 8 bytes a pair.
+sink's reverse entries) runs in C; the refinement holds each pending
+pair in one byte, plus one entry per split that names its two halves.
 """
 
 from array import array
@@ -121,13 +121,16 @@ def _refine_total(c: CompletedDfa):
     a block splits, pairs pending on it stay pending for both halves,
     and otherwise only the smaller half is queued.
 
-    The pending pairs are two parallel int32 stacks, ``work_b`` for the
-    blocks and ``work_a`` for the symbols, pushed and popped together:
-    8 bytes a pair, where a list of tuples costs about 89.  A split still
-    runs the Theta(alpha) loop over the labels, which pushes its blocks
-    one by one; its symbols, always 0..alpha-1 in order, go on with one
-    C-level ``extend``.  A popped pair whose states have no predecessors
-    under its symbol builds nothing.
+    Every split pushes exactly alpha pairs, one per label 0..alpha-1 in
+    order, each for one of the split's two halves.  So the pending pairs
+    are one byte each in ``work``, and ``chunks`` holds one entry
+    ``(start, first, second)`` per split that still has pairs pending: a
+    pair's label is its offset from its chunk's ``start``, and its byte
+    is 1 for the ``first`` block, 0 for the ``second``.  The initial fill
+    is one chunk of alpha pairs for the smaller of the two blocks.  A
+    split still runs the Theta(alpha) loop over the labels.  A popped
+    pair whose states have no predecessors under its symbol builds
+    nothing.
     """
     alpha = c.alpha
     fin = set(c.finals)
@@ -139,17 +142,22 @@ def _refine_total(c: CompletedDfa):
     flags = [bytearray(alpha), bytearray(alpha)]
     small = 0 if len(fin) <= len(nonfin) else 1
     flags[small][:] = b"\x01" * alpha
-    syms = array("i", range(alpha))
-    work_b = array("i", [small]) * alpha
-    work_a = array("i", syms)
-    push_b = work_b.append
+    work = bytearray(b"\x01") * alpha
+    push = work.append
+    # The top chunk, unpacked; ``chunks`` holds it too.
+    start, first, second = 0, small, small
+    chunks = [(start, first, second)]
     inv = c.inv_elems
     off = c.inv_offsets
     touches = 0
     splits = 0
-    while work_b:
-        b = work_b.pop()
-        a = work_a.pop()
+    while work:
+        b = first if work.pop() else second
+        a = len(work) - start
+        if not a:
+            chunks.pop()
+            if chunks:
+                start, first, second = chunks[-1]
         flags[b][a] = 0
         hits = None
         for s in blocks[b]:
@@ -183,17 +191,18 @@ def _refine_total(c: CompletedDfa):
             flags.append(fz)
             fy = flags[yb]
             part_smaller = len(part) <= len(y)
+            start, first, second = len(work), nz, yb
+            chunks.append((start, first, second))
             for sym in range(alpha):
                 if fy[sym]:
                     fz[sym] = 1
-                    push_b(nz)
+                    push(1)
                 elif part_smaller:
                     fz[sym] = 1
-                    push_b(nz)
+                    push(1)
                 else:
                     fy[sym] = 1
-                    push_b(yb)
-            work_a.extend(syms)
+                    push(0)
             splits += 1
     return blocks, block_of, splits, touches
 

@@ -7,10 +7,13 @@ nonempty language, which the minimizer's splitting logic relies on.
 
 The forward search walks each state's slice of the heads, delimited by
 the automaton's cached out-index offsets (:attr:`PtDfa.out_first`), the
-backward search the incoming transitions grouped by head.  ``restrict``
-keeps the relative order of the surviving transitions and renumbers
-states in ascending order, so its result keeps the (tail, label) order
-that every PtDfa is in.
+backward search the incoming transitions grouped by head.  Each search
+goes breadth first, one level of newly marked states at a time, and
+stops after the level that leaves no state unmarked; on a dense
+automaton that is long before its last transition.  ``restrict`` keeps
+the relative order of the surviving transitions and renumbers states in
+ascending order, so its result keeps the (tail, label) order that every
+PtDfa is in.
 """
 
 from array import array
@@ -39,31 +42,38 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
     out_heads, out_first = d.heads, d.out_first
     fwd = bytearray(n)
     fwd[d.initial] = 1
-    stack = [d.initial]
-    while stack:
-        q = stack.pop()
-        for h in out_heads[out_first[q]:out_first[q + 1]]:
-            if not fwd[h]:
-                fwd[h] = 1
-                stack.append(h)
+    unmarked = n - 1
+    level = [d.initial]
+    while level and unmarked:
+        reached = []
+        for q in level:
+            for h in out_heads[out_first[q]:out_first[q + 1]]:
+                if not fwd[h]:
+                    fwd[h] = 1
+                    reached.append(h)
+        unmarked -= len(reached)
+        level = reached
 
     if in_index is None:
         in_index = bucket_by(d.heads, n)
     in_order, in_first = in_index
     bwd = bytearray(n)
-    stack = []
-    for q in d.finals:
+    level = list(d.finals)
+    for q in level:
         bwd[q] = 1
-        stack.append(q)
-    while stack:
-        q = stack.pop()
-        # Measured faster here than mapping tails over a slice of
-        # in_order, as the forward search maps nothing.
-        for k in range(in_first[q], in_first[q + 1]):
-            t = tails[in_order[k]]
-            if not bwd[t]:
-                bwd[t] = 1
-                stack.append(t)
+    unmarked = n - len(level)
+    while level and unmarked:
+        reached = []
+        for q in level:
+            # Measured faster here than mapping tails over a slice of
+            # in_order, as the forward search maps nothing.
+            for k in range(in_first[q], in_first[q + 1]):
+                t = tails[in_order[k]]
+                if not bwd[t]:
+                    bwd[t] = 1
+                    reached.append(t)
+        unmarked -= len(reached)
+        level = reached
 
     # The marks are 0/1 bytes, so one big-int AND intersects them in C.
     both = int.from_bytes(fwd, "little") & int.from_bytes(bwd, "little")
