@@ -3,7 +3,8 @@
 Subcommands: ``minimize`` an automaton file, ``generate`` random inputs,
 ``check`` two automata for language equality or isomorphism, and
 ``bench`` a timing grid to CSV.  ``-`` means stdin/stdout.  Exit codes:
-0 ok, 1 bad input data, 2 usage error, 3 checked relation false.
+0 ok, 1 bad input data or out of memory, 2 usage error, 3 checked
+relation false.
 """
 
 import argparse
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AutomatonError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -85,16 +85,12 @@ class Refinement:
         self.block_splits = 0
         self.splitter_touches = 0
         self.small_half_touches = 0
-        if dp.m:
-            self.trp = init_trp_grouping(dp.labels, dp.alpha)
-            if in_index is None:
-                in_index = bucket_by(dp.heads, dp.n)
-            self.in_order, self.in_first = in_index
-            # Initial transition sets are exactly 0..sets-1, all pending.
-            self.unready.extend(range(self.trp.sets))
-        else:
-            self.trp = None
-            self.in_order = self.in_first = None
+        self.trp = init_trp_grouping(dp.labels, dp.alpha)
+        if in_index is None:
+            in_index = bucket_by(dp.heads, dp.n)
+        self.in_order, self.in_first = in_index
+        # Initial transition sets are exactly 0..sets-1, all pending.
+        self.unready.extend(range(self.trp.sets))
 
     def unready_pairs(self) -> set:
         """Live worklist contents as (target block, label) pairs."""
@@ -128,8 +124,6 @@ class Refinement:
         if brp.size(b) < brp.size(b2):
             b2 = b
         trp = self.trp
-        if trp is None:
-            return
         in_order = self.in_order
         in_first = self.in_first
         telems = trp.elems
@@ -200,8 +194,6 @@ class Refinement:
             brp.mark(q)
         self.split_block(0)
         trp = self.trp
-        if trp is None:
-            return
         telems = trp.elems
         tfirst = trp.first
         tend = trp.end

@@ -87,6 +87,9 @@ def restrict(d: PtDfa, keep) -> PtDfa:
     them; survivors are renumbered densely in ascending order and the
     kept transitions stay in their relative order."""
     keep = set(keep)
+    if keep and (min(keep) < 0 or max(keep) >= d.n):
+        bad = next(q for q in sorted(keep) if not 0 <= q < d.n)
+        raise AutomatonError(f"kept state {bad} out of range 0..{d.n - 1}")
     if d.initial not in keep:
         raise InitialNotRetainedError(
             f"initial state {d.initial} not in the retained set")

@@ -17,6 +17,8 @@ __all__ = ["RefinablePartition"]
 class RefinablePartition:
     """Partition of 0..max-1 into numbered, nonempty, disjoint sets.
 
+    It starts as one set, or as none when the universe is empty.
+
     Layout: ``elems`` is a permutation of the universe in which each set
     occupies the slice ``elems[first[s]:end[s]]`` (order unspecified),
     which is how its elements are read; ``loc`` is the inverse of
@@ -46,8 +48,8 @@ class RefinablePartition:
                  "mid", "mark_calls", "split_calls", "split_steps")
 
     def __init__(self, max_elems: int, compact: bool = False):
-        if max_elems < 1:
-            raise ValueError("cannot partition an empty universe")
+        if max_elems < 0:
+            raise ValueError(f"negative universe size {max_elems}")
         if compact:
             self.elems = array("i", range(max_elems))
             self.loc = array("i", range(max_elems))
@@ -62,9 +64,10 @@ class RefinablePartition:
             self.first = [0] * max_elems
             self.mid = [0] * max_elems
             self.end = [0] * max_elems
-        self.end[0] = max_elems
         self.max = max_elems
-        self.sets = 1
+        self.sets = min(max_elems, 1)
+        if max_elems:
+            self.end[0] = max_elems
         self.mark_calls = 0
         self.split_calls = 0
         self.split_steps = 0
@@ -128,16 +131,3 @@ class RefinablePartition:
             sidx[elems[i]] = new
         self.split_steps += end[new] - first[new]
         return new
-
-    def dump(self) -> str:
-        """Debug listing, one line per set: ``index: marked | unmarked``.
-
-        For test fixtures only; the format is not stable.
-        """
-        lines = []
-        for s in range(self.sets):
-            f, m, e = self.first[s], self.mid[s], self.end[s]
-            marked = " ".join(str(self.elems[i]) for i in range(f, m))
-            unmarked = " ".join(str(self.elems[i]) for i in range(m, e))
-            lines.append(f"{s}: {marked} | {unmarked}")
-        return "\n".join(lines)

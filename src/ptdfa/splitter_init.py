@@ -28,12 +28,11 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
     first appearance, laid out back to back, each set in descending
     transition order, in a compact (int32 array) partition.  O(m) time
     and memory: the set of each label is looked up in a dict of the
-    labels that occur, so no storage grows with ``alpha``.
+    labels that occur, so no storage grows with ``alpha``.  No labels
+    give the empty partition, with no sets.
     """
     m = len(labels)
-    if m == 0:
-        raise ValueError("no transitions to partition")
-    if min(labels) < 0 or max(labels) >= alpha:
+    if m and (min(labels) < 0 or max(labels) >= alpha):
         bad = next(a for a in labels if not 0 <= a < alpha)
         raise AutomatonError(f"label {bad} out of range 0..{alpha - 1}")
     counts = Counter(labels)  # keys in order of first appearance

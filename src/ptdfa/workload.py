@@ -51,9 +51,7 @@ def generate(n: int, alpha: int, p: float, k: int, seed: int) -> PtDfa:
     m = int(round(p * n * alpha))
     pairs = n * alpha
     rng = random.Random(seed)
-    if m == 0:
-        codes = []
-    elif p <= 0.125:
+    if p <= 0.125:
         chosen = set()
         while len(chosen) < m:
             chosen.add(rng.randrange(pairs))

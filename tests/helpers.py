@@ -1,10 +1,10 @@
-"""Shared test utilities: a naive reference partition, the line-by-line
-reference parser, the sort-every-time reference serializer, a plain
-breadth-first reference renumbering, the one-step-per-transition
-reference label grouping, the call-per-split reference refinement loop,
-the cell-by-cell reference completion and completed-table refinement,
-the state-by-state reference keep set, brute-force language tools, and
-the exhaustive tiny-automaton sweep."""
+"""Shared test utilities: a partition's sets as lists, a naive reference
+partition, the line-by-line reference parser, the sort-every-time
+reference serializer, a plain breadth-first reference renumbering, the
+one-step-per-transition reference label grouping, the call-per-split
+reference refinement loop, the cell-by-cell reference completion and
+completed-table refinement, the state-by-state reference keep set,
+brute-force language tools, and the exhaustive tiny-automaton sweep."""
 
 from array import array
 from collections import Counter, deque
@@ -37,6 +37,12 @@ def check_partition(rp):
             assert rp.sidx[el] == s
         covered += e - f
     assert covered == rp.max, "set slices cover the universe"
+
+
+def partition_sets(rp):
+    """Each set of ``rp`` as its (marked, unmarked) element lists."""
+    return [(list(rp.elems[rp.first[s]:rp.mid[s]]),
+             list(rp.elems[rp.mid[s]:rp.end[s]])) for s in range(rp.sets)]
 
 
 class ModelPartition:
@@ -249,8 +255,6 @@ class ReferenceRefinement(Refinement):
         if brp.size(b) < brp.size(b2):
             b2 = b
         trp = self.trp
-        if trp is None:
-            return
         touched = self.touched_spls
         assert not touched
         in_order = self.in_order
@@ -300,8 +304,6 @@ class ReferenceRefinement(Refinement):
             brp.mark(q)
         self.split_block(0)
         trp = self.trp
-        if trp is None:
-            return
         telems = trp.elems
         tfirst = trp.first
         tend = trp.end

@@ -2,7 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptdfa import generate, minimize, serialize
+from ptdfa import cli, generate, minimize, serialize
 
 HEADER_ONLY = "dfa 1 1 0 0 0\n"
 
@@ -230,3 +230,16 @@ def test_bench_invalid_cell_exits_2(tmp_path: Path):
 def test_bench_without_cells_exits_2():
     r = run_cli("bench")
     assert r.returncode == 2
+
+
+def test_out_of_memory_exits_1_without_traceback(tmp_path: Path,
+                                                 monkeypatch, capsys):
+    src = tmp_path / "in.dfa"
+    src.write_text(HEADER_ONLY)
+
+    def no_memory(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "language_equal", no_memory)
+    assert cli.main(["check", "--equiv", str(src), str(src)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"

@@ -15,7 +15,7 @@ from ptdfa.oracle import language_partition
 
 from helpers import (
     ReferenceRefinement, all_words, final_partition_violations,
-    worklist_invariant_ok,
+    partition_sets, worklist_invariant_ok,
 )
 
 
@@ -33,9 +33,11 @@ def _random_cases(count, max_n=8, max_alpha=4, seed_base=0):
 def test_split_block_without_marks_changes_nothing():
     d = PtDfa.from_triples(4, 1, [(0, 0, 2), (1, 0, 3)], 0, {2, 3})
     ref = Refinement(restrict(d, relevant_states(d)))
-    before = (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready))
+    before = (partition_sets(ref.brp), partition_sets(ref.trp),
+              sorted(ref.unready))
     ref.split_block(0)
-    assert (ref.brp.dump(), ref.trp.dump(), sorted(ref.unready)) == before
+    assert (partition_sets(ref.brp), partition_sets(ref.trp),
+            sorted(ref.unready)) == before
 
 
 def test_split_block_equal_halves_scans_marked_half():
@@ -112,11 +114,10 @@ def _refinement_cases():
 
 def _refinement_result(ref):
     trp = ref.trp
-    return (ref.brp.dump(), list(ref.brp.sidx), list(ref.unready),
+    return (partition_sets(ref.brp), list(ref.brp.sidx), list(ref.unready),
             ref.block_splits, ref.splitter_touches, ref.small_half_touches,
             ref.brp.split_calls, ref.brp.split_steps,
-            None if trp is None else
-            (trp.dump(), trp.sets, trp.split_calls, trp.split_steps))
+            partition_sets(trp), trp.sets, trp.split_calls, trp.split_steps)
 
 
 def _one_transition_skips(dp, worklist):
@@ -149,11 +150,11 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
             ref = cls(dp, worklist=worklist)
             rounds = []
             ref.run(lambda r: rounds.append(
-                (list(r.unready), r.brp.dump(), r.block_splits)))
+                (list(r.unready), partition_sets(r.brp), r.block_splits)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
         # Every transition set is queued exactly once.
-        assert len(rounds) == (0 if ref.trp is None else ref.trp.sets)
+        assert len(rounds) == ref.trp.sets
         if dp.n == 1 and dp.m == 0:
             covered.add("n=1, m=0")
         if _one_transition_skips(dp, worklist) > len(rounds) // 2:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ptdfa import (
-    InitialNotRetainedError, PtDfa, accepts, empty_dfa, generate,
-    relevant_states, restrict,
+    AutomatonError, InitialNotRetainedError, PtDfa, accepts, empty_dfa,
+    generate, relevant_states, restrict,
 )
 from ptdfa.automaton import bucket_by
 
@@ -100,6 +100,17 @@ def test_restrict_requires_initial():
     d = PtDfa.from_triples(2, 1, [], 1, set())
     with pytest.raises(InitialNotRetainedError):
         restrict(d, {0})
+
+
+def test_restrict_refuses_out_of_range_state():
+    d = PtDfa.from_triples(3, 1, [(0, 0, 1), (1, 0, 2)], 0, {2})
+    # As many kept states as d has, so a size check alone would return d.
+    with pytest.raises(AutomatonError, match="kept state 99 out of range"):
+        restrict(d, {0, 1, 99})
+    with pytest.raises(AutomatonError, match="kept state 99 out of range"):
+        restrict(d, {0, 99})
+    with pytest.raises(AutomatonError, match="kept state -1 out of range"):
+        restrict(d, {-1, 0})
 
 
 def test_restrict_renumbers_in_ascending_order():

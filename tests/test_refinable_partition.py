@@ -24,9 +24,16 @@ def test_create_singleton_universe():
     assert rp.size(0) == 1
 
 
-def test_create_rejects_empty_universe():
+def test_create_empty_universe_has_no_sets():
+    for compact in STORAGE:
+        rp = RefinablePartition(0, compact=compact)
+        assert rp.max == 0 and rp.sets == 0
+        check_partition(rp)
+
+
+def test_create_rejects_negative_size():
     with pytest.raises(ValueError):
-        RefinablePartition(0)
+        RefinablePartition(-1)
 
 
 def _elements(rp, s):
@@ -133,14 +140,6 @@ def test_fresh_indices_are_dense():
         assert got is not None
         splits += 1
         assert rp.sets == 1 + splits
-
-
-def test_dump_format_smoke():
-    rp = RefinablePartition(4)
-    rp.mark(2)
-    lines = rp.dump().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("0:") and "|" in lines[0]
 
 
 @pytest.mark.parametrize("compact", STORAGE)

@@ -24,9 +24,10 @@ def test_grouping_interleaved_labels():
     check_partition(rp)
 
 
-def test_grouping_rejects_empty():
-    with pytest.raises(ValueError):
-        init_trp_grouping([], alpha=2)
+def test_grouping_of_no_labels_has_no_sets():
+    rp = init_trp_grouping([], alpha=2)
+    assert rp.max == 0 and rp.sets == 0
+    check_partition(rp)
 
 
 def test_grouping_rejects_out_of_range_label():

@@ -52,6 +52,15 @@ def test_generate_rejects_bad_parameters():
         generate(2, 1, 0.5, 3, seed=0)
 
 
+def test_generate_without_transitions_pins_bytes():
+    # m = round(p*n*alpha) = 0: the sparse sampler (p <= 0.125), the
+    # dense one, and an all-final automaton; neither sampler draws.
+    assert serialize(generate(3, 1, 0.1, 1, seed=5)) == "dfa 3 1 0 1 0\n2\n"
+    assert serialize(generate(1, 1, 0.2, 1, seed=5)) == "dfa 1 1 0 1 0\n0\n"
+    assert serialize(generate(3, 1, 0.1, 3, seed=5)) == \
+        "dfa 3 1 0 3 0\n0\n1\n2\n"
+
+
 def test_generate_sparse_and_dense_paths():
     sparse = generate(10, 10, 0.05, 5, seed=8)
     assert sparse.m == 5
