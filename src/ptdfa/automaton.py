@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from operator import add, lt, mul
+from operator import add, itemgetter, lt, mul
 
 __all__ = [
     "AutomatonError", "ValidationError", "ParseError", "UnreachableStateError",
@@ -134,15 +134,19 @@ def validate(n, alpha, transitions, initial, finals) -> PtDfa:
     try:
         plain = (set(map(len, records)) <= {3} and set(map(type, chain(
             (n, alpha, initial), finals, chain.from_iterable(records)))) <= {int})
-        if plain:
-            flat = array("i", chain.from_iterable(records))
-            final_states = array("i", finals)
-    except (TypeError, OverflowError):  # a record with no length; int32 overflow
+    except TypeError:  # a record with no length
         plain = False
-    if not plain:
-        raise ValidationError(_diagnostics(n, alpha, records, initial, finals))
-    return _checked(n, alpha, flat[0::3], flat[1::3], flat[2::3], initial,
-                    final_states)
+    if plain:
+        try:
+            tails, labels, heads = (array("i", map(itemgetter(i), records))
+                                    for i in range(3))
+        except OverflowError:  # a value beyond the int32 range
+            heads = None
+        if heads is not None and _within(heads, n):
+            d = _checked(n, alpha, initial, tails, labels, heads, finals)
+            if d is not None:
+                return d
+    raise ValidationError(_diagnostics(n, alpha, records, initial, finals))
 
 
 def _within(values, limit: int) -> bool:
@@ -155,35 +159,46 @@ def _in_key_order(tails, labels) -> bool:
                    zip(islice(tails, 1, None), islice(labels, 1, None))))
 
 
-def _checked(n, alpha, tails, labels, heads, initial, finals) -> PtDfa:
-    """The PtDfa of int32 arrays that pass the structural check shared by
-    :func:`parse` and :func:`validate`: n and alpha in the int32 range,
-    every index in range, no repeated (tail, label) key.  Transitions
-    out of key order are sorted into it; a repeated key then sits next
-    to its twin, so one pass over the keys finds it either way.  Only
-    when the check fails are the records walked again, in their given
-    order, by :func:`_diagnostics`."""
-    if (1 <= n <= _INT32_MAX and 0 <= alpha <= _INT32_MAX and 0 <= initial < n
-            and _within(finals, n) and _within(tails, n)
-            and _within(heads, n) and _within(labels, alpha)):
-        ordered = _in_key_order(tails, labels)
-        columns = ((tails, labels, heads) if ordered
-                   else _key_sorted(alpha, tails, labels, heads))
-        if ordered or _in_key_order(columns[0], columns[1]):
-            return PtDfa(n, alpha, *columns, initial, frozenset(finals))
-    raise ValidationError(
-        _diagnostics(n, alpha, zip(tails, labels, heads), initial, finals))
+def _checked(n, alpha, initial, tails, labels, heads, finals):
+    """The PtDfa of columns that pass the structural check shared by
+    :func:`parse` and :func:`validate`, or None: n and alpha in the
+    int32 range, every index in range, no repeated (tail, label) key.
+    The heads are an int32 array whose range the caller checked; the
+    tails and labels are lists of ints (from :func:`parse`, read without
+    creating an int) or int32 arrays, converted once every check has
+    passed.  In key order the tails ascend, so the first and the last
+    bound them.  Transitions out of key order are sorted into it; a
+    repeated key then sits next to its twin, so one pass over the keys
+    finds it either way."""
+    if not (1 <= n <= _INT32_MAX and 0 <= alpha <= _INT32_MAX
+            and 0 <= initial < n and _within(labels, alpha)
+            and _within(finals, n)):
+        return None
+    if _in_key_order(tails, labels):
+        if tails and not (tails[0] >= 0 and tails[-1] < n):
+            return None
+        tails, labels = array("i", tails), array("i", labels)
+    elif _within(tails, n):
+        tails, labels, heads = _key_sorted(alpha, tails, labels, heads)
+        if not _in_key_order(tails, labels):
+            return None
+    else:
+        return None
+    return PtDfa(n, alpha, tails, labels, heads, initial, frozenset(finals))
 
 
 def _key_sorted(alpha, tails, labels, heads) -> tuple:
-    """The three columns sorted stably by (tail, label), with labels
-    below ``alpha``, so that ``tail * alpha + label`` is a one-to-one
-    key.  One C-level sort, whose cost does not depend on n: a counting
-    sort by tail would allocate n bins, for two transitions as well."""
+    """The columns as int32 arrays sorted stably by (tail, label), with
+    labels below ``alpha``, so that ``tail * alpha + label`` is a
+    one-to-one key.  One C-level sort, whose cost does not depend on n:
+    a counting sort by tail would allocate n bins, for two transitions
+    as well.  Each column is gathered into a list, the fastest gather,
+    and converted at once, so that later passes read it in memory order,
+    not through pointers to ints in their scanned order."""
     keys = list(map(add, map(mul, tails, repeat(alpha)), labels))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys
-    return tuple(array("i", map(column.__getitem__, order))
+    return tuple(array("i", list(map(column.__getitem__, order)))
                  for column in (tails, labels, heads))
 
 
@@ -269,30 +284,53 @@ def parse(text: str) -> PtDfa:
     the diagnostics, one per offending record, are those that
     :func:`validate` gives for the same values.
     """
-    data = [line for line in text.split("\n") if line and line[0] != "#"]
-    header = data[0].split(" ") if data else []
+    if "#" in text or "\n\n" in text or text.startswith("\n"):
+        # A comment or an empty line: the data lines are picked out and
+        # joined back, so the steps below see one kind of body.
+        data = [line for line in text.split("\n") if line and line[0] != "#"]
+        first = data[0] if data else ""
+        body = "\n".join(data[1:])
+        del data  # the line strings would double the peak memory from here on
+    else:
+        # Every line holds data, but for an empty one after a last LF:
+        # the header and the body are sliced off the text as they are.
+        first, _, body = text.partition("\n")
+        body = body.removesuffix("\n")
+    header = first.split(" ")
     if not (len(header) == 6 and header[0] == "dfa"
             and all(_numeral_fault(t) is None and not _above_int32(t)
                     for t in header[1:])):
         raise _text_error(text)
     n, alpha, m, k, initial = map(int, header[1:])
-    if len(data) != 1 + m + k:
+    if (body.count("\n") + 1 if body else 0) != m + k:  # the data lines
         raise _text_error(text)
-    body = "\n".join(data[1:])
-    del data  # the line strings would double the peak memory from here on
     # Without its digits a transition line is two spaces and a
     # final-state line is empty.
-    if body.translate(_NO_DIGITS) != "\n".join(["  "] * m + [""] * k):
+    if body.translate(_NO_DIGITS) != ("  \n" * m + "\n" * k)[:-1]:
         raise _text_error(text)
+    source = f"[{body.translate(_TO_COMMAS)}]"
+    del body
     try:
         # The JSON scanner converts the numbers in C.  It refuses the
         # empty field that a run of spaces leaves and a leading zero.
-        flat = array("i", json.loads(f"[{body.translate(_TO_COMMAS)}]"))
-    except (ValueError, OverflowError):  # also a number above int32
+        flat = json.loads(source)
+    except ValueError:  # also a numeral too long for int()
         raise _text_error(text) from None
+    del source
     end = 3 * m
-    return _checked(n, alpha, flat[0:end:3], flat[1:end:3], flat[2:end:3],
-                    initial, flat[end:])
+    # The heads need no check but their range, so they are converted
+    # before the other columns are sliced: one list fewer of pointers
+    # sits beside the scanned list.
+    heads = flat[2:end:3]
+    if not _within(heads, n):
+        raise _text_error(text)
+    heads = array("i", heads)
+    tails, labels, finals = flat[0:end:3], flat[1:end:3], flat[end:]
+    del flat  # the ints stay, held by the columns
+    d = _checked(n, alpha, initial, tails, labels, heads, finals)
+    if d is None:
+        raise _text_error(text)
+    return d
 
 
 def _numeral_fault(token: str):
@@ -539,7 +577,8 @@ class MinimizeStats:
     m*floor(lg n) + m.  ``phases`` maps each step of the minimization
     pipeline (``preprocess``, ``refine``, ``canonicalize``, and for the
     completed-table baseline ``complete`` before ``refine``) to its
-    seconds; the phases add up to ``seconds``.
+    seconds; the phases add up to ``seconds``.  A counter that an
+    algorithm does not measure is None, never a 0 that reads as measured.
     """
 
     n_in: int = 0
@@ -564,10 +603,10 @@ class MinimizeStats:
                 and self.small_half_touches <= self.m_core * lg + self.m_core)
 
     def as_lines(self) -> list:
-        """key=value lines for diagnostic output: the counters in
-        declaration order, ``seconds``, then one ``phase.<name>`` line
+        """key=value lines for diagnostic output: the measured counters
+        in declaration order, ``seconds``, then one ``phase.<name>`` line
         per phase."""
-        counters = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-                    if f.type is int]
+        counters = [f"{f.name}={value}" for f in fields(self) if f.type is int
+                    and (value := getattr(self, f.name)) is not None]
         return counters + [f"seconds={self.seconds:.6f}"] + [
             f"phase.{name}={sec:.6f}" for name, sec in self.phases.items()]

@@ -69,11 +69,11 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
     copied into the counts' buffer.  The cursor places the defined
     transitions, which come in (tail, label) order, so each predecessor
     set fills in ascending order, as the sink's do.  The cursor and each
-    label's sink predecessors are ``array("I")``, which C fills about
-    twice as fast as ``"i"``, with the same bytes, since no entry
-    reaches 2**31 (the table would need 16 GiB first).  No full-size
-    buffer is freed before the cursor is spent, and nothing of size m is
-    built: either would raise the process's peak memory.
+    label's sink predecessors are ``array("I")``, which C fills faster
+    than ``"i"``, with the same bytes, since no entry reaches 2**31
+    (the table would need 16 GiB first).  No full-size buffer is freed
+    before the cursor is spent, and nothing of size m is built: either
+    would raise the process's peak memory.
     """
     n, alpha = d.n, d.alpha
     sink = n

@@ -17,7 +17,10 @@ __all__ = ["RefinablePartition"]
 class RefinablePartition:
     """Partition of 0..max-1 into numbered, nonempty, disjoint sets.
 
-    It starts as one set, or as none when the universe is empty.
+    It starts as one set, or as none when the universe is empty.  The
+    minimizer's transition partition does not start there:
+    :func:`ptdfa.splitter_init.init_trp_grouping` writes its buffers
+    once, with one set per label.
 
     Layout: ``elems`` is a permutation of the universe in which each set
     occupies the slice ``elems[first[s]:end[s]]`` (order unspecified),

@@ -26,10 +26,11 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
 
     Set i holds the transitions of the i-th distinct label in order of
     first appearance, laid out back to back, each set in descending
-    transition order, in a compact (int32 array) partition.  O(m) time
-    and memory: the set of each label is looked up in a dict of the
-    labels that occur, so no storage grows with ``alpha``.  No labels
-    give the empty partition, with no sets.
+    transition order, in a compact (int32 array) partition whose
+    buffers are written once.  O(m) time and memory: the set of each
+    label is looked up in a dict of the labels that occur, so no storage
+    grows with ``alpha``.  No labels give the empty partition, with no
+    sets.
     """
     m = len(labels)
     if m and (min(labels) < 0 or max(labels) >= alpha):
@@ -37,7 +38,12 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
         raise AutomatonError(f"label {bad} out of range 0..{alpha - 1}")
     counts = Counter(labels)  # keys in order of first appearance
     index = {}
-    rp = RefinablePartition(m, compact=True)
+    # Six zeroed buffers in place of the one set 0..m-1 that the
+    # constructor fills in: the loops below write each entry once.
+    rp = RefinablePartition(0, compact=True)
+    rp.max = m
+    rp.elems, rp.loc, rp.sidx, rp.first, rp.mid, rp.end = (
+        array("i", [0]) * m for _ in range(6))
     first = rp.first
     end = rp.end
     cursor = []

@@ -73,8 +73,11 @@ def generate(n: int, alpha: int, p: float, k: int, seed: int) -> PtDfa:
 def _run_oracle(d):
     t0 = perf_counter()
     out = oracle_minimize(d)
+    # The oracle neither trims the automaton nor splits blocks.
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha, n_out=out.n,
-                          m_out=out.m, seconds=perf_counter() - t0)
+                          m_out=out.m, n_core=None, m_core=None, splits=None,
+                          splitter_touches=None, small_half_touches=None,
+                          seconds=perf_counter() - t0)
     return out, stats
 
 

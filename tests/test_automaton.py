@@ -87,7 +87,7 @@ def test_parse_wrong_line_count():
         parse("dfa 2 1 2 0 0\n0 0 1\n")
 
 
-@pytest.mark.parametrize("text, line", [
+_OUTSIDE_THE_GRAMMAR = [
     ("dfa 2 1 1 0 0\n+0 0 1\n", 2),
     ("dfa 2 1 1 0 0\n1_0 0 1\n", 2),
     ("dfa 2 1 1 0 0\n0 \u0660 1\n", 2),            # ARABIC-INDIC DIGIT ZERO
@@ -106,11 +106,39 @@ def test_parse_wrong_line_count():
     ("dfa 2 1 1 1 0\n0 0\n1 1\n", 2),
     ("dfa 3 2 2 0 0\n0 0\n1 x 2\n", 2),
     ("", 1),
-])
+]
+
+
+@pytest.mark.parametrize("text, line", _OUTSIDE_THE_GRAMMAR)
 def test_parse_rejects_text_outside_the_grammar(text, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line", _OUTSIDE_THE_GRAMMAR)
+def test_parse_rejects_text_after_a_comment_one_line_down(text, line):
+    # A comment line sends the text through the branch that filters out
+    # comment and empty lines; the error is the same, one line down.  A
+    # text without a header line is refused at line 1 either way.
+    with pytest.raises(ParseError) as plain:
+        parse(text)
+    with pytest.raises(ParseError) as commented:
+        parse("# c\n" + text)
+    shifted = line + 1 if text else 1
+    message = str(plain.value).removeprefix(f"line {line}: ")
+    assert commented.value.line == shifted
+    assert str(commented.value) == f"line {shifted}: {message}"
+
+
+def test_parse_line_count_edges():
+    d = parse("dfa 1 1 0 0 0")
+    assert d == parse("dfa 1 1 0 0 0\n") == validate(1, 1, [], 0, [])
+    assert parse("dfa 2 1 1 1 0\n0 0 1\n1") == parse("dfa 2 1 1 1 0\n0 0 1\n1\n")
+    with pytest.raises(ParseError) as exc:
+        parse("dfa 1 1 0 1 0\n")  # the final-state line is missing
+    assert exc.value.line == 1
+    assert "expected 0 transition and 1 final-state lines, found 0" in str(exc.value)
 
 
 def test_parse_refuses_numbers_above_int32():
@@ -206,6 +234,9 @@ def test_parse_agrees_with_reference_parser():
         text = _noisy(d, rng)
         assert parse(text) == reference_parse(text)
         assert parse(serialize(d)) == d
+        # The canonical text is sliced; with a comment and an empty line
+        # it is filtered first, and reads as the same automaton.
+        assert parse("# c\n" + serialize(d) + "\n") == d
 
 
 def test_validate_diagnostics_match_reference():
@@ -334,6 +365,17 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def test_parse_peak_stays_within_a_multiple_of_the_text():
+    # Both forms peak at 8.3 to 8.5 times the text, the one split into
+    # lines included; the bound leaves room for other Python versions.
+    text = serialize(generate(1000, 100, 0.3, 500, seed=3))
+    assert text.count("\n") > 30_000
+    for form in (text, "# c\n" + text):
+        d, peak = _traced_peak(parse, form)
+        assert d.m == 30_000
+        assert peak < 10 * len(form)
 
 
 def test_serialize_peaks_no_higher_than_reference():

@@ -319,6 +319,14 @@ def test_stats_time_each_pipeline_phase():
             ] + [f"phase.{name}" for name in phases]
 
 
+def test_stats_lines_leave_out_unmeasured_counters():
+    stats = MinimizeStats(n_in=3, alpha=1, n_out=1, m_out=None, splits=None,
+                          small_half_touches=None, seconds=0.5)
+    assert stats.as_lines() == [
+        "n_in=3", "m_in=0", "alpha=1", "n_out=1", "n_core=0", "m_core=0",
+        "splitter_touches=0", "seconds=0.500000"]
+
+
 def test_final_blocks_satisfy_both_partition_conditions():
     rng = random.Random(10)
     for i in range(120):
