@@ -38,7 +38,6 @@ __all__ = [
 
 _INT32_MAX = 2**31 - 1  # indices and counts live in array("i")
 _CHUNK = 4096  # transitions per format call of serialize
-_CHUNK_FORMAT = "%d %d %d\n" * _CHUNK
 
 
 class AutomatonError(ValueError):
@@ -446,15 +445,27 @@ def serialize(d: PtDfa) -> str:
     (tail, label, head), final states ascending, LF line endings.
 
     The transitions are written as the automaton holds them, which is
-    that order.  Lines are formatted by one ``%`` call per chunk of
-    transitions, which keeps the peak near the size of the text.
+    that order.  They are formatted one chunk of up to ``_CHUNK``
+    transitions at a time: three strided slice assignments interleave
+    the chunk's slices of the three columns in one reused int32 buffer,
+    and one ``%`` call formats it.  O(m) in C-level passes; besides the
+    formatted parts and their join, one chunk is held at a time.
     """
-    flat = chain.from_iterable(zip(d.tails, d.labels, d.heads))
-    full, rest = divmod(d.m, _CHUNK)
-    parts = [f"dfa {d.n} {d.alpha} {d.m} {len(d.finals)} {d.initial}\n"]
-    parts += [_CHUNK_FORMAT % tuple(islice(flat, 3 * _CHUNK))
-              for _ in range(full)]
-    parts.append("%d %d %d\n" * rest % tuple(flat))
+    tails, labels, heads = d.tails, d.labels, d.heads
+    m = d.m
+    parts = [f"dfa {d.n} {d.alpha} {m} {len(d.finals)} {d.initial}\n"]
+    size = min(m, _CHUNK)
+    buf = array("i", [0]) * (3 * size)
+    form = "%d %d %d\n" * size
+    for i in range(0, m, _CHUNK):
+        j = min(i + _CHUNK, m)
+        if j - i < size:  # the last chunk, shorter than the others
+            del buf[3 * (j - i):]
+            form = "%d %d %d\n" * (j - i)
+        buf[0::3] = tails[i:j]
+        buf[1::3] = labels[i:j]
+        buf[2::3] = heads[i:j]
+        parts.append(form % tuple(buf))
     parts.append("%d\n" * len(d.finals) % tuple(sorted(d.finals)))
     return "".join(parts)
 
@@ -500,16 +511,22 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     Each block is read through its last member's slice of the
     out-index (:attr:`PtDfa.out_first`), which lists the labels in
     ascending order, and so the result's transitions come out in
-    (tail, label) order.
+    (tail, label) order.  When no two states share a block, a state's
+    slice of the heads is read as it stands; otherwise each head is
+    mapped to its block.  O(n + m): one Python step per transition looks
+    for heads not yet numbered, and each block adds its tails as one
+    int32 repetition, its labels as one slice and its new heads as one
+    C-level map.
     """
     labels, heads, first = d.labels, d.heads, d.out_first
     k = d.n if blocks is None else max(blocks) + 1
     if k == d.n:
         block_of = rep = range(k)
+        block = None
     else:
         block_of = blocks
         rep = dict(zip(blocks, range(d.n)))  # the last member of each block
-    block = block_of.__getitem__
+        block = blocks.__getitem__
 
     initial = block_of[d.initial]
     new_of = [-1] * k
@@ -518,18 +535,22 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     ct = array("i")
     cl = array("i")
     ch = array("i")
+    tail = array("i", [0])
     # Visiting blocks in their new order with labels ascending emits the
     # transitions already sorted by (tail, label, head).
     for q, b in enumerate(bfs):
         s = rep[b]
         f = first[s]
         e = first[s + 1]
-        out = list(map(block, heads[f:e]))
+        out = heads[f:e]
+        if block is not None:
+            out = list(map(block, out))
         for h in out:
             if new_of[h] < 0:
                 new_of[h] = len(bfs)
                 bfs.append(h)
-        ct.extend(repeat(q, e - f))
+        tail[0] = q
+        ct += tail * (e - f)
         cl += labels[f:e]
         ch.extend(map(new_of.__getitem__, out))
     if len(bfs) != k:

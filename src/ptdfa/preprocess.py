@@ -9,11 +9,13 @@ The forward search walks each state's slice of the heads, delimited by
 the automaton's cached out-index offsets (:attr:`PtDfa.out_first`), the
 backward search the incoming transitions grouped by head.  Each search
 goes breadth first, one level of newly marked states at a time, and
-stops after the level that leaves no state unmarked; on a dense
-automaton that is long before its last transition.  ``restrict`` keeps
-the relative order of the surviving transitions and renumbers states in
-ascending order, so its result keeps the (tail, label) order that every
-PtDfa is in.
+stops after the state whose walk marks the last unmarked state; on a
+dense automaton that is long before its last transition.  The minimizer
+passes the kept states from one step to the next as a mask of one 0/1
+byte per state, which the public functions wrap in a set.  ``restrict``
+keeps the relative order of the surviving transitions and renumbers
+states in ascending order, so its result keeps the (tail, label) order
+that every PtDfa is in.
 """
 
 from array import array
@@ -36,6 +38,11 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
     ``in_index``, if given, must be ``bucket_by(d.heads, d.n)``, the
     incoming transitions of each state; it is built when omitted.
     """
+    return set(compress(range(d.n), _relevant_mask(d, in_index)))
+
+
+def _relevant_mask(d: PtDfa, in_index) -> bytearray:
+    """The states of :func:`relevant_states` as a 0/1 byte per state."""
     n = d.n
     tails = d.tails
 
@@ -51,6 +58,8 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
                 if not fwd[h]:
                     fwd[h] = 1
                     reached.append(h)
+            if len(reached) == unmarked:  # q's walk marked the last state
+                break
         unmarked -= len(reached)
         level = reached
 
@@ -72,14 +81,16 @@ def relevant_states(d: PtDfa, in_index=None) -> set:
                 if not bwd[t]:
                     bwd[t] = 1
                     reached.append(t)
+            if len(reached) == unmarked:
+                break
         unmarked -= len(reached)
         level = reached
 
     # The marks are 0/1 bytes, so one big-int AND intersects them in C.
     both = int.from_bytes(fwd, "little") & int.from_bytes(bwd, "little")
-    keep = set(compress(range(n), both.to_bytes(n, "little")))
-    keep.add(d.initial)
-    return keep
+    mask = bytearray(both.to_bytes(n, "little"))
+    mask[d.initial] = 1
+    return mask
 
 
 def restrict(d: PtDfa, keep) -> PtDfa:
@@ -93,14 +104,21 @@ def restrict(d: PtDfa, keep) -> PtDfa:
     if d.initial not in keep:
         raise InitialNotRetainedError(
             f"initial state {d.initial} not in the retained set")
-    if len(keep) == d.n:
+    mask = bytearray(d.n)
+    for q in keep:
+        mask[q] = 1
+    return _restricted(d, mask)
+
+
+def _restricted(d: PtDfa, mask) -> PtDfa:
+    """:func:`restrict` to the states whose byte in ``mask`` is 1, the
+    initial state among them; ``d`` itself when that is every state."""
+    kept = mask.count(1)
+    if kept == d.n:
         return d
     new_of = [-1] * d.n
-    count = 0
-    for q in range(d.n):
-        if q in keep:
-            new_of[q] = count
-            count += 1
+    for new, q in enumerate(compress(range(d.n), mask)):
+        new_of[q] = new
     tails = array("i")
     labels = array("i")
     heads = array("i")
@@ -110,7 +128,7 @@ def restrict(d: PtDfa, keep) -> PtDfa:
             labels.append(a)
             heads.append(new_of[h])
     finals = frozenset(new_of[q] for q in d.finals if new_of[q] >= 0)
-    return PtDfa(count, d.alpha, tails, labels, heads, new_of[d.initial],
+    return PtDfa(kept, d.alpha, tails, labels, heads, new_of[d.initial],
                  finals)
 
 

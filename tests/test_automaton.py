@@ -356,6 +356,26 @@ def test_serialize_agrees_with_reference():
         "dfa 3 2 4 2 0\n0 0 2\n1 0 0\n1 0 2\n1 1 1\n0\n2\n"
 
 
+def test_serialize_agrees_with_reference_at_chunk_boundaries():
+    # serialize formats up to 4096 transitions per chunk: no chunk, a
+    # short one, one chunk less one, exactly one, one past it, and two
+    # chunks plus one.
+    for m in (0, 1, 4095, 4096, 4097, 8193):
+        n = max(1, (m + 2) // 3)
+        d = PtDfa.from_triples(n, 3, [(i // 3, i % 3, (7 * i + 1) % n)
+                                      for i in range(m)], 0, {0, n - 1})
+        assert d.m == m
+        assert serialize(d) == reference_serialize(d)
+    # The largest state and label that n and alpha allow.
+    top = 2**31 - 2
+    d = PtDfa.from_triples(top + 1, top + 1, [(0, top, top), (top, 0, top)],
+                           top, {0, top})
+    text = serialize(d)
+    assert text == reference_serialize(d)
+    assert text.split("\n")[1:3] == [f"0 {top} {top}", f"{top} 0 {top}"]
+    assert parse(text) == d
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -460,6 +480,9 @@ def test_canonicalize_agrees_with_reference():
 
 
 def test_canonicalize_by_singleton_blocks_is_canonicalize():
+    # With no two states in one block, canonicalize reads each state's
+    # heads as they stand, whether ``blocks`` is omitted or a
+    # permutation.
     rng = random.Random(43)
     for i in range(100):
         n = rng.randrange(1, 30)
@@ -468,7 +491,8 @@ def test_canonicalize_by_singleton_blocks_is_canonicalize():
             rng.randrange(0, min(n, 3) + 1), seed=900 + i)), rng)
         perm = list(range(d.n))
         rng.shuffle(perm)
-        assert canonicalize(d, perm) == canonicalize(d)
+        assert canonicalize(d, perm) == canonicalize(d) == \
+            reference_canonicalize(d)
 
 
 def _naive_quotient(dp, blocks):

@@ -72,6 +72,58 @@ def test_relevant_matches_the_state_by_state_keep_set():
         assert relevant_states(d) == reference_relevant_states(d)
 
 
+class _CountingReads(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _states_of_whole_levels(d, in_index):
+    """How many states the backward search walks when it stops only at
+    the end of a level: every state of each level it starts while some
+    state is unmarked."""
+    in_order, in_first = in_index
+    marked = set(d.finals)
+    level = list(d.finals)
+    walked = 0
+    while level and len(marked) < d.n:
+        walked += len(level)
+        reached = []
+        for q in level:
+            for k in range(in_first[q], in_first[q + 1]):
+                t = d.tails[in_order[k]]
+                if t not in marked:
+                    marked.add(t)
+                    reached.append(t)
+        level = reached
+    return walked
+
+
+def test_relevant_stops_at_the_state_that_marks_the_last_one():
+    # Dense automata with many final states: every state is marked early
+    # in a level, and the backward search stops there, not at the end
+    # of the level.
+    rng = random.Random(33)
+    stopped_early = 0
+    for i in range(100):
+        n = rng.randrange(8, 60)
+        d = generate(n, rng.randrange(3, 6), rng.choice([0.8, 1.0]),
+                     rng.randrange(n // 4, n // 2 + 1), seed=5000 + i)
+        in_order, in_first = bucket_by(d.heads, d.n)
+        counted = _CountingReads(in_first)
+        assert relevant_states(d, (in_order, counted)) == \
+            reference_relevant_states(d)
+        whole = _states_of_whole_levels(d, (in_order, in_first))
+        walked = counted.reads // 2  # in_first[q] and in_first[q + 1]
+        assert walked <= whole
+        stopped_early += walked < whole
+    assert stopped_early >= 60  # 76 of these 100
+
+
 def test_restrict_to_all_states_is_identity():
     d = generate(5, 2, 0.6, 2, seed=4)
     assert restrict(d, set(range(d.n))) == d
