@@ -130,7 +130,8 @@ def _refine_total(c: CompletedDfa):
     is one chunk of alpha pairs for the smaller of the two blocks.  A
     split still runs the Theta(alpha) loop over the labels.  A popped
     pair whose states have no predecessors under its symbol builds
-    nothing.
+    nothing.  The pairs still pending when a split leaves every block a
+    single state are dropped.
     """
     alpha = c.alpha
     fin = set(c.finals)
@@ -204,6 +205,9 @@ def _refine_total(c: CompletedDfa):
                     fy[sym] = 1
                     push(0)
             splits += 1
+            if len(blocks) == c.n:
+                # Every block is a single state: none can split again.
+                work.clear()
     return blocks, block_of, splits, touches
 
 

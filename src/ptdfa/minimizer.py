@@ -19,16 +19,30 @@ splits (or a hook is given).
 A state in a singleton block, or a transition in a singleton transition
 set, is never marked: its split could only be trivial.  A round whose
 splitter is one transition, with its tail alone in its block, is
-skipped outright after counting its touch, since nothing can split; on
-nearly minimal inputs that is most rounds.  When that tail shares its
-block, the round always splits it: the tail is marked alone and
-``split_block`` called, with no touched list.  A touched block or set
-that ended up marked whole has its marks cleared in place; only a real
-split calls ``split_block`` (blocks) or is carried out inline
-(transition sets).  The counters still count every skipped or cleared
-trivial split, the skipped round's included, as a split call of its
-partition, so ``split_calls`` reads the same as if each touched set had
-been passed to ``RefinablePartition.split``.
+skipped outright after counting its touch, since nothing can split.
+When that tail shares its block, the round always splits it: the tail
+is marked alone and ``split_block`` called, with no touched list.  A
+touched block or set that ended up marked whole has its marks cleared
+in place; only a real split calls ``split_block`` (blocks) or is
+carried out inline (transition sets).  The counters still count every
+skipped or cleared trivial split, the skipped round's included, as a
+split call of its partition, so ``split_calls`` reads the same as if
+each touched set had been passed to ``RefinablePartition.split``.
+
+Two rules drop work that can split nothing.  A block of one state never
+splits again, so when a split leaves a half of one state, the
+transitions out of it, one slice of the out-index, are retired: their
+set index becomes -1, which reads an extra slot shaped like a
+one-transition set, so the mark loop skips them as it skips a singleton
+set and never carves them into a fresh set.  A retired transition stays
+in its set, which keeps the (block, label) pair of its live members;
+when that set is popped, the retired tail is alone in its block and
+skipped.  And a split that leaves n blocks makes the partition final:
+``split_block`` returns before its rescan and empties the worklist,
+which ends the run.  Neither rule changes a block, so the output stays
+the same, and both scan bounds keep holding: every split still rescans
+its smaller half, and a retired transition is touched at most once
+more, when the set it was left in had already been queued.
 
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
@@ -87,7 +101,17 @@ class Refinement:
         self.block_splits = 0
         self.splitter_touches = 0
         self.small_half_touches = 0
-        self.trp = init_trp_grouping(dp.labels, dp.alpha)
+        self.trp = trp = init_trp_grouping(dp.labels, dp.alpha)
+        # Set index -1 reads one extra slot, shaped like a one-transition
+        # set: a retired transition points there, so the singleton-set
+        # test of the mark loop skips it.
+        trp.first.append(0)
+        trp.mid.append(0)
+        trp.end.append(1)
+        self.out_first = dp.out_first
+        # Enough -1 entries to retire the transitions out of any state:
+        # they have distinct labels, one label set each.
+        self.retired = array("i", [-1]) * trp.sets
         if in_index is None:
             in_index = bucket_by(dp.heads, dp.n)
         self.in_order, self.in_first = in_index
@@ -95,15 +119,19 @@ class Refinement:
         self.unready.extend(range(self.trp.sets))
 
     def unready_pairs(self) -> set:
-        """Live worklist contents as (target block, label) pairs."""
+        """Live worklist contents as (target block, label) pairs, read
+        from a member that is not retired; a set whose members are all
+        retired holds no pair."""
         heads = self.dp.heads
         labels = self.dp.labels
-        telems = self.trp.elems
-        tfirst = self.trp.first
+        trp = self.trp
         pairs = set()
         for p in self.unready:
-            t = telems[tfirst[p]]
-            pairs.add((self.brp.set_of(heads[t]), labels[t]))
+            # A retired member keeps its place but not its pair.
+            for t in trp.elems[trp.first[p]:trp.end[p]]:
+                if trp.sidx[t] == p:
+                    pairs.add((self.brp.set_of(heads[t]), labels[t]))
+                    break
         return pairs
 
     def split_block(self, b: int) -> None:
@@ -116,23 +144,51 @@ class Refinement:
         into fresh transition sets, and every fresh set joins the
         worklist.  The transition sets are split here, not through
         ``trp.split``; a singleton set is never marked, and it and a
-        set marked whole are counted as trivial ``trp`` split calls.
+        set marked whole are counted as trivial ``trp`` split calls, as
+        is a retired transition.  A half of one state has the
+        transitions out of it retired first.  A split that leaves every
+        block a single state empties the worklist instead of rescanning.
         """
         brp = self.brp
         b2 = brp.split(b)
+        if brp.sets == self.dp.n:
+            # Every block is a single state (at n = 1 before any split),
+            # so none can split again: the run ends with nothing pending.
+            self.block_splits += b2 is not None
+            self.unready *= 0  # empties the array or the deque in place
+            return
         if b2 is None:
             return
         self.block_splits += 1
         bfirst = brp.first
         bend = brp.end
-        if bend[b] - bfirst[b] < bend[b2] - bfirst[b2]:
-            b2 = b
         trp = self.trp
+        tsidx = trp.sidx
+        # A half of one state never splits again: retire the transitions
+        # out of it, which are never marked from now on.
+        f = bfirst[b]
+        f2 = bfirst[b2]
+        size = bend[b] - f
+        size2 = bend[b2] - f2
+        if size == 1 or size2 == 1:
+            out_first = self.out_first
+            retired = self.retired
+            if size == 1:
+                q = brp.elems[f]
+                lo = out_first[q]
+                hi = out_first[q + 1]
+                tsidx[lo:hi] = retired[:hi - lo]
+            if size2 == 1:
+                q = brp.elems[f2]
+                lo = out_first[q]
+                hi = out_first[q + 1]
+                tsidx[lo:hi] = retired[:hi - lo]
+        if size < size2:
+            b2 = b
         in_order = self.in_order
         in_first = self.in_first
         telems = trp.elems
         tloc = trp.loc
-        tsidx = trp.sidx
         tfirst = trp.first
         tmid = trp.mid
         tend = trp.end

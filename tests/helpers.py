@@ -225,12 +225,22 @@ def reference_grouping(labels):
     return rp
 
 
+# The set index of a retired transition.
+RETIRED = -1
+
+
 class ReferenceRefinement(Refinement):
     """Reference for ``Refinement.run``/``split_block``: every splitter
     touch marks its state and every touched block and transition set
     goes through ``split_block``/``trp.split``, trivial splits included.
     The real splits, the worklist order and every counter must come out
-    the same as the refinement loop's."""
+    the same as the refinement loop's.
+
+    It keeps the refiner's two rules in its own way: a split that leaves
+    every block a single state empties the worklist, and a half of one
+    state has its outgoing transitions retired one by one; a retired
+    transition is never marked again, and each touch of one counts as a
+    trivial split call of the transition partition."""
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)
@@ -248,13 +258,26 @@ class ReferenceRefinement(Refinement):
         worklist.
         """
         brp = self.brp
+        trp = self.trp
         b2 = brp.split(b)
+        if b2 is not None:
+            self.block_splits += 1
+        if brp.sets == self.dp.n:
+            if isinstance(self.unready, deque):
+                self.unready.clear()
+            else:
+                del self.unready[:]
+            return
         if b2 is None:
             return
-        self.block_splits += 1
+        out_first = self.dp.out_first
+        for half in (b, b2):
+            if brp.size(half) == 1:
+                q = brp.elems[brp.first[half]]
+                for t in range(out_first[q], out_first[q + 1]):
+                    trp.sidx[t] = RETIRED
         if brp.size(b) < brp.size(b2):
             b2 = b
-        trp = self.trp
         touched = self.touched_spls
         assert not touched
         in_order = self.in_order
@@ -271,7 +294,11 @@ class ReferenceRefinement(Refinement):
             q = belems[posq]
             for k in range(in_first[q], in_first[q + 1]):
                 t = in_order[k]
+                touches += 1
                 p = tsidx[t]
+                if p == RETIRED:
+                    trp.split_calls += 1
+                    continue
                 if tmid[p] == tfirst[p]:
                     touched_add(p)
                 # Mark t inside its transition set (inlined for speed).
@@ -284,7 +311,6 @@ class ReferenceRefinement(Refinement):
                     telems[mm] = t
                     tloc[t] = mm
                     tmid[p] = mm + 1
-                touches += 1
         self.small_half_touches += touches
         unready_add = self.unready.append
         trp_split = trp.split
@@ -378,8 +404,9 @@ def reference_sink_complete(d: PtDfa) -> CompletedDfa:
 
 def reference_refine_total(c: CompletedDfa):
     """Reference for ``hopcroft._refine_total``: the popped block is
-    copied before its scan and the reverse index read entry by entry.
-    Returns (blocks, block_of, splits, touches)."""
+    copied before its scan and the reverse index read entry by entry,
+    and the pending pairs are dropped once a split leaves every block a
+    single state.  Returns (blocks, block_of, splits, touches)."""
     alpha = c.alpha
     fin = set(c.finals)
     nonfin = set(range(c.n)) - fin
@@ -437,6 +464,8 @@ def reference_refine_total(c: CompletedDfa):
                     fy[sym] = 1
                     work.append((yb, sym))
             splits += 1
+            if len(blocks) == c.n:
+                work.clear()
     return blocks, block_of, splits, touches
 
 

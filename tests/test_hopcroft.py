@@ -50,7 +50,8 @@ def _differential_cases():
 
 
 def test_sink_complete_and_refinement_match_cell_by_cell_references():
-    seen = {"m0": 0, "alpha1": 0, "total": 0, "restricted": 0}
+    seen = {"m0": 0, "alpha1": 0, "total": 0, "restricted": 0,
+            "all singletons": 0}
     for d in _differential_cases():
         dp = restrict(d, relevant_states(d))
         seen["m0"] += d.m == 0
@@ -60,7 +61,9 @@ def test_sink_complete_and_refinement_match_cell_by_cell_references():
         for e in (d, dp):
             c = sink_complete(e)
             assert c == reference_sink_complete(e)
-            assert _refine_total(c) == reference_refine_total(c)
+            refined = _refine_total(c)
+            assert refined == reference_refine_total(c)
+            seen["all singletons"] += len(refined[0]) == c.n
     assert min(seen.values()) > 0, seen
 
 

@@ -14,7 +14,7 @@ from ptdfa.automaton import bucket_by
 from ptdfa.oracle import language_partition
 
 from helpers import (
-    ReferenceRefinement, all_words, final_partition_violations,
+    RETIRED, ReferenceRefinement, all_words, final_partition_violations,
     partition_sets, worklist_invariant_ok,
 )
 
@@ -83,6 +83,40 @@ def test_split_block_whole_splitter_keeps_index_and_status():
     assert list(ref.unready) == [ref.trp.set_of(2)]
 
 
+def test_no_round_runs_once_every_block_is_a_single_state():
+    # On a minimal input the last split leaves n singleton blocks, and
+    # the run ends there: no round starts on the final partition.
+    checked = rounds = 0
+    for d in _random_cases(60, max_n=12, seed_base=13_000):
+        seen = []
+        dp, blocks, stats = final_blocks(
+            d, loop_hook=lambda r: seen.append(r.brp.sets == r.dp.n))
+        if blocks is None or stats.n_out != dp.n:
+            continue
+        assert not any(seen)
+        assert stats.within_scan_bounds(), stats
+        checked += 1
+        rounds += len(seen)
+    assert checked > 30 and rounds > 100
+
+
+def test_no_set_is_carved_for_a_transition_out_of_a_one_state_block():
+    # Splitting the finals {1, 2} off leaves state 0 alone, and the
+    # rescan of that smaller half reaches 0 -1-> 0.  Its tail can never
+    # split again, so it is retired, not carved out of the label-1 set
+    # into a third transition set.
+    d = PtDfa.from_triples(3, 2, [(0, 0, 1), (0, 1, 0), (1, 1, 2), (2, 1, 2)],
+                           0, {1, 2})
+    ref = Refinement(d)
+    ref.run()
+    assert ref.trp.sets == 2
+    assert list(ref.trp.sidx) == [RETIRED, RETIRED, 1, 1]
+    assert list(ref.brp.sidx) == [0, 1, 1]
+    _, stats = minimize_with_stats(d)
+    assert stats.n_out == 2
+    assert stats.within_scan_bounds(), stats
+
+
 def _ring(small, copies):
     """``copies`` copies of ``small`` in a ring: state (i, q) goes on
     label a to ((i+1) mod copies, delta(q, a)), so the copies of each
@@ -107,7 +141,7 @@ def _refinement_cases():
     for i in range(6):
         yield _ring(generate(6, 2, 0.8, 3, seed=12_500 + i), 3 + i)
     # Shaped like the random_sparse benchmark input: nearly minimal, so
-    # most rounds pop one transition whose tail is alone in its block.
+    # the run stops at n singleton blocks with most sets still pending.
     for i in range(8):
         yield generate(80, 80, 0.1, 40, seed=12_600 + i)
 
@@ -153,18 +187,27 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
                 (list(r.unready), partition_sets(r.brp), r.block_splits)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
-        # Every transition set is queued exactly once.
-        assert len(rounds) == ref.trp.sets
+        # Every transition set is queued exactly once, and popped unless
+        # the run stopped at n singleton blocks with sets still pending.
+        if ref.brp.sets == dp.n:
+            assert len(rounds) <= ref.trp.sets
+            if len(rounds) < ref.trp.sets:
+                covered.add("stopped at all singletons")
+        else:
+            assert len(rounds) == ref.trp.sets
+        if RETIRED in ref.trp.sidx:
+            covered.add("retired a transition")
         if dp.n == 1 and dp.m == 0:
             covered.add("n=1, m=0")
-        if _one_transition_skips(dp, worklist) > len(rounds) // 2:
-            covered.add("mostly one-transition skips")
+        if _one_transition_skips(dp, worklist):
+            covered.add("one-transition skips")
         if dp.alpha == 1:
             covered.add("alpha=1")
         if ref.brp.sets < dp.n:
             covered.add("merge")
     assert covered == {"n=1, m=0", "alpha=1", "merge",
-                       "mostly one-transition skips"}
+                       "one-transition skips", "stopped at all singletons",
+                       "retired a transition"}
 
 
 @pytest.mark.parametrize("worklist", ["lifo", "fifo"])
@@ -353,6 +396,31 @@ def test_worklist_invariant_holds_at_every_round():
 
         final_blocks(d, loop_hook=hook)
         assert all(checked)
+
+
+def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
+    # In the second round, the pending label-1 set starts with the
+    # transition 3 -1-> 2, retired since state 3 is alone in its block;
+    # state 2 has just split off from state 0, the head of the live
+    # member 0 -1-> 0.  The set's pair comes from the live member, and
+    # the invariant check fails with the pair of the first one instead.
+    d = PtDfa.from_triples(4, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 2), (2, 0, 3),
+                                  (2, 1, 0), (3, 1, 2)], 0, {0, 1, 2})
+    rounds = []
+
+    def hook(ref):
+        trp = ref.trp
+        first_pairs = set()
+        for p in ref.unready:
+            t = trp.elems[trp.first[p]]
+            if trp.sidx[t] == RETIRED:
+                first_pairs.add((ref.brp.set_of(d.heads[t]), d.labels[t]))
+        rounds.append((first_pairs - ref.unready_pairs(),
+                       worklist_invariant_ok(ref)))
+
+    final_blocks(d, loop_hook=hook)
+    assert [ok for _, ok in rounds] == [True, True]
+    assert [wrong for wrong, _ in rounds] == [set(), {(2, 1)}]
 
 
 def test_minimize_allocates_nothing_per_label():
