@@ -572,9 +572,12 @@ def is_isomorphic(d1: PtDfa, d2: PtDfa) -> bool:
 
 
 def accepts(d: PtDfa, word) -> bool:
-    """Run the word; True iff the run survives and ends in a final state."""
+    """Run the word; True iff the run survives and ends in a final state.
+    A symbol must be an int (not a bool) in 0..alpha-1."""
     word = list(word)
     for a in word:
+        if type(a) is not int:
+            raise AutomatonError(f"symbol {a!r} is not an int")
         if not 0 <= a < d.alpha:
             raise AutomatonError(f"symbol {a} out of range 0..{d.alpha - 1}")
     labels, heads, first = d.labels, d.heads, d.out_first
@@ -617,8 +620,6 @@ class MinimizeStats:
 
     def within_scan_bounds(self) -> bool:
         """Check the guaranteed worst-case scan counts."""
-        if self.n_core < 1:
-            return self.splitter_touches == 0 and self.small_half_touches == 0
         lg = self.n_core.bit_length() - 1
         return (self.splitter_touches <= self.m_core * (lg + 1)
                 and self.small_half_touches <= self.m_core * lg + self.m_core)

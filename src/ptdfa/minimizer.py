@@ -349,17 +349,18 @@ def _pipeline(d: PtDfa, refine, complete=None):
     quotient.
 
     The incoming transitions of each state, ``bucket_by(d.heads,
-    d.n)``, are grouped once: dead-state removal walks them, and when it
-    keeps every state (``dp is d``) the refiner gets them as
-    ``in_index``; otherwise ``in_index`` is None.  A refiner of a
-    completed automaton (hopcroft) has no use for them, so with a
-    ``complete`` step none are built here or held while it runs.
+    d.n)``, are grouped once, for every refiner: dead-state removal
+    walks them, and when it keeps every state (``dp is d``) and no
+    ``complete`` step follows, the refiner gets them as ``in_index``.
+    Otherwise they are dropped before the ``complete`` step runs, and
+    ``in_index`` is None: a refiner of a completed automaton (hopcroft)
+    has no use for them.
     """
     t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
-    in_index = bucket_by(d.heads, d.n) if complete is None else None
+    in_index = bucket_by(d.heads, d.n)
     dp = restrict(d, relevant_states(d, in_index))
-    if dp is not d:
+    if complete is not None or dp is not d:
         in_index = None
     stats.n_core = dp.n
     stats.m_core = dp.m

@@ -31,18 +31,18 @@ class InitialNotRetainedError(AutomatonError):
     """restrict() requires the kept set to contain the initial state."""
 
 
-def relevant_states(d: PtDfa, in_index=None) -> set:
+def relevant_states(d: PtDfa) -> set:
     """The initial state plus every state that is both reachable from it
-    and able to reach a final state.
-
-    ``in_index``, if given, must be ``bucket_by(d.heads, d.n)``, the
-    incoming transitions of each state; it is built when omitted.
-    """
+    and able to reach a final state."""
+    in_index = bucket_by(d.heads, d.n)
     return set(compress(range(d.n), _relevant_mask(d, in_index)))
 
 
 def _relevant_mask(d: PtDfa, in_index) -> bytearray:
-    """The states of :func:`relevant_states` as a 0/1 byte per state."""
+    """The states of :func:`relevant_states` as a 0/1 byte per state.
+
+    ``in_index`` must be ``bucket_by(d.heads, d.n)``, the incoming
+    transitions of each state."""
     n = d.n
     tails = d.tails
 
@@ -63,8 +63,6 @@ def _relevant_mask(d: PtDfa, in_index) -> bytearray:
         unmarked -= len(reached)
         level = reached
 
-    if in_index is None:
-        in_index = bucket_by(d.heads, n)
     in_order, in_first = in_index
     bwd = bytearray(n)
     level = list(d.finals)

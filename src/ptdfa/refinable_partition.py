@@ -9,8 +9,6 @@ it.  Sets never merge and elements never enter or leave the universe;
 the partition only gets finer.
 """
 
-from array import array
-
 __all__ = ["RefinablePartition"]
 
 
@@ -33,10 +31,11 @@ class RefinablePartition:
     ``end`` are allocated for the worst case of ``max`` singleton sets up
     front, so no operation ever reallocates.
 
-    With ``compact=True`` the six buffers are int32 ``array('i')``
-    objects: half the memory of plain lists, slightly slower indexing.
-    The minimizer keeps its blocks in lists and its transition sets,
-    one element per transition, in arrays.
+    The constructor builds the six buffers as lists.  Every operation
+    serves int32 ``array('i')`` buffers as well, which take half the
+    memory and index slightly slower.  The minimizer keeps its blocks in
+    the constructor's lists, and its transition sets, one element per
+    transition, in the arrays that ``init_trp_grouping`` writes.
 
     ``mark`` and ``split`` must not be called on an instance while one of
     its sets is being scanned (they reorder elements within slices).
@@ -50,23 +49,15 @@ class RefinablePartition:
     __slots__ = ("max", "sets", "elems", "loc", "sidx", "first", "end",
                  "mid", "mark_calls", "split_calls", "split_steps")
 
-    def __init__(self, max_elems: int, compact: bool = False):
+    def __init__(self, max_elems: int):
         if max_elems < 0:
             raise ValueError(f"negative universe size {max_elems}")
-        if compact:
-            self.elems = array("i", range(max_elems))
-            self.loc = array("i", range(max_elems))
-            self.sidx = array("i", [0]) * max_elems
-            self.first = array("i", [0]) * max_elems
-            self.mid = array("i", [0]) * max_elems
-            self.end = array("i", [0]) * max_elems
-        else:
-            self.elems = list(range(max_elems))
-            self.loc = list(range(max_elems))
-            self.sidx = [0] * max_elems
-            self.first = [0] * max_elems
-            self.mid = [0] * max_elems
-            self.end = [0] * max_elems
+        self.elems = list(range(max_elems))
+        self.loc = list(range(max_elems))
+        self.sidx = [0] * max_elems
+        self.first = [0] * max_elems
+        self.mid = [0] * max_elems
+        self.end = [0] * max_elems
         self.max = max_elems
         self.sets = min(max_elems, 1)
         if max_elems:

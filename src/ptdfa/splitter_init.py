@@ -26,8 +26,8 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
 
     Set i holds the transitions of the i-th distinct label in order of
     first appearance, laid out back to back, each set in descending
-    transition order, in a compact (int32 array) partition whose
-    buffers are written once.  O(m) time and memory: the set of each
+    transition order, in a partition whose six buffers are int32
+    arrays, each written once.  O(m) time and memory: the set of each
     label is looked up in a dict of the labels that occur, so no storage
     grows with ``alpha``.  No labels give the empty partition, with no
     sets.
@@ -40,7 +40,7 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
     index = {}
     # Six zeroed buffers in place of the one set 0..m-1 that the
     # constructor fills in: the loops below write each entry once.
-    rp = RefinablePartition(0, compact=True)
+    rp = RefinablePartition(0)
     rp.max = m
     rp.elems, rp.loc, rp.sidx, rp.first, rp.mid, rp.end = (
         array("i", [0]) * m for _ in range(6))

@@ -1,10 +1,11 @@
-"""Shared test utilities: a partition's sets as lists, a naive reference
-partition, the line-by-line reference parser, the sort-every-time
-reference serializer, a plain breadth-first reference renumbering, the
-one-step-per-transition reference label grouping, the call-per-split
-reference refinement loop, the cell-by-cell reference completion and
-completed-table refinement, the state-by-state reference keep set,
-brute-force language tools, and the exhaustive tiny-automaton sweep."""
+"""Shared test utilities: a partition's buffers as int32 arrays, its
+sets as lists, a naive reference partition, the line-by-line reference
+parser, the sort-every-time reference serializer, a plain breadth-first
+reference renumbering, the one-step-per-transition reference label
+grouping, the call-per-split reference refinement loop, the
+cell-by-cell reference completion and completed-table refinement, the
+state-by-state reference keep set, brute-force language tools, and the
+exhaustive tiny-automaton sweep."""
 
 from array import array
 from collections import Counter, deque
@@ -18,6 +19,14 @@ from ptdfa import (
 from ptdfa.automaton import bucket_by
 from ptdfa.hopcroft import CompletedDfa
 from ptdfa.oracle import oracle_minimize
+
+
+def as_int32(rp):
+    """``rp`` with its six buffers turned into int32 ``array('i')``,
+    the storage of the minimizer's transition partition."""
+    for name in ("elems", "loc", "sidx", "first", "mid", "end"):
+        setattr(rp, name, array("i", getattr(rp, name)))
+    return rp
 
 
 def check_partition(rp):
@@ -206,7 +215,7 @@ def reference_grouping(labels):
     from its end down, so its transitions come out descending."""
     counts = Counter(labels)  # keys in order of first appearance
     index = {}
-    rp = RefinablePartition(len(labels), compact=True)
+    rp = as_int32(RefinablePartition(len(labels)))
     total = 0
     for i, (a, c) in enumerate(counts.items()):
         index[a] = i
@@ -398,8 +407,7 @@ def reference_sink_complete(d: PtDfa) -> CompletedDfa:
             key = row[a] * alpha + a
             elems[cursor[key]] = q
             cursor[key] += 1
-    return CompletedDfa(total, alpha, sink, table, elems, offsets, d.initial,
-                        d.finals)
+    return CompletedDfa(total, alpha, sink, table, elems, offsets, d.finals)
 
 
 def reference_refine_total(c: CompletedDfa):

@@ -15,7 +15,7 @@ from ptdfa.oracle import language_partition
 from ptdfa.preprocess import relevant_states, restrict
 
 from helpers import (
-    ModelPartition, assert_agrees, check_partition,
+    ModelPartition, as_int32, assert_agrees, check_partition,
     final_partition_violations, tiny_sweep_report,
 )
 
@@ -132,8 +132,9 @@ def test_criterion_5_partition_model_check():
     ops_done = 0
     for i in range(sequences):
         max_elems = rng.randrange(1, 65)
-        compact = bool(i & 1)
-        rp = RefinablePartition(max_elems, compact=compact)
+        rp = RefinablePartition(max_elems)
+        if i & 1:
+            rp = as_int32(rp)
         model = ModelPartition(max_elems)
         for _ in range(rng.randrange(1, 17)):
             if rng.random() < 0.7:

@@ -59,6 +59,14 @@ def test_validate_collects_multiple_diagnostics():
     assert len(exc.value.diagnostics) == 3
 
 
+def test_validate_names_a_tail_out_of_range_in_unsorted_input():
+    # Out of (tail, label) order: the tails are range-checked before any
+    # sort, which a tail of 5 stops.
+    with pytest.raises(ValidationError) as exc:
+        validate(3, 2, [(1, 0, 0), (0, 0, 1), (5, 1, 0)], 0, [])
+    assert exc.value.diagnostics == ["tail 5 out of range in transition #2"]
+
+
 def test_parse_header_only():
     d = parse("dfa 1 1 0 0 0\n")
     assert d.n == 1 and d.m == 0 and d.finals == frozenset()
@@ -139,6 +147,10 @@ def test_parse_line_count_edges():
         parse("dfa 1 1 0 1 0\n")  # the final-state line is missing
     assert exc.value.line == 1
     assert "expected 0 transition and 1 final-state lines, found 0" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse("dfa 2 1 0 1 0\n1 1\n")
+    assert exc.value.line == 2
+    assert "final-state line must be a single state" in str(exc.value)
 
 
 def test_parse_refuses_numbers_above_int32():
@@ -267,6 +279,11 @@ def test_validate_refuses_values_that_are_not_ints():
         "final state True is not an int",
         "label False is not an int in transition #0",
         "transition #1 is not a (tail, label, head) triple"]
+    # A record with no length at all.
+    with pytest.raises(ValidationError) as exc:
+        validate(2, 1, [5], 0, [])
+    assert exc.value.diagnostics == [
+        "transition #0 is not a (tail, label, head) triple"]
     with pytest.raises(ValidationError) as exc:
         validate(2.0, 1, [], 0, [])
     assert exc.value.diagnostics == ["n 2.0 is not an int"]
@@ -581,6 +598,15 @@ def test_accepts_rejects_out_of_range_symbol():
     d = PtDfa.from_triples(1, 1, [], 0, {0})
     with pytest.raises(AutomatonError):
         accepts(d, [3])
+
+
+def test_accepts_refuses_symbols_that_are_not_ints():
+    d = PtDfa.from_triples(2, 2, [(0, 1, 1)], 0, {1})
+    assert accepts(d, [1])
+    for symbol in (True, 1.0, "a"):
+        with pytest.raises(AutomatonError) as exc:
+            accepts(d, [symbol])
+        assert str(exc.value) == f"symbol {symbol!r} is not an int"
 
 
 def test_transitions_view_matches_arrays():

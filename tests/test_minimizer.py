@@ -343,12 +343,14 @@ def test_stats_reports_sizes():
 
 def test_stats_time_each_pipeline_phase():
     empty = PtDfa.from_triples(3, 2, [(0, 0, 1)], 0, set())
+    keys = [f.name for f in fields(MinimizeStats) if f.name != "phases"]
     for d in (generate(60, 3, 0.5, 30, seed=124), empty):
-        for run, phases in (
+        for run, phases, unmeasured in (
                 (minimize_with_stats, ["preprocess", "refine",
-                                       "canonicalize"]),
+                                       "canonicalize"], []),
                 (hopcroft_minimize, ["preprocess", "complete", "refine",
-                                     "canonicalize"])):
+                                     "canonicalize"],
+                 ["small_half_touches"])):
             _, stats = run(d)
             assert list(stats.phases) == phases
             assert min(stats.phases.values()) >= 0.0
@@ -358,8 +360,9 @@ def test_stats_time_each_pipeline_phase():
                 f"phase.{name}={sec:.6f}"
                 for name, sec in stats.phases.items()]
             assert [line.split("=")[0] for line in lines] == [
-                f.name for f in fields(MinimizeStats) if f.name != "phases"
+                name for name in keys if name not in unmeasured
             ] + [f"phase.{name}" for name in phases]
+            assert all(getattr(stats, name) is None for name in unmeasured)
 
 
 def test_stats_lines_leave_out_unmeasured_counters():

@@ -4,14 +4,20 @@ import pytest
 
 from ptdfa import RefinablePartition
 
-from helpers import ModelPartition, assert_agrees, check_partition
+from helpers import ModelPartition, as_int32, assert_agrees, check_partition
 
+# Whether the partition's buffers are turned into int32 arrays.
 STORAGE = [False, True]
 
 
-@pytest.mark.parametrize("compact", STORAGE)
-def test_create_single_set(compact):
-    rp = RefinablePartition(4, compact=compact)
+def _fresh(max_elems, int32):
+    rp = RefinablePartition(max_elems)
+    return as_int32(rp) if int32 else rp
+
+
+@pytest.mark.parametrize("int32", STORAGE)
+def test_create_single_set(int32):
+    rp = _fresh(4, int32)
     assert rp.sets == 1
     assert rp.size(0) == 4
     assert all(rp.set_of(e) == 0 for e in range(4))
@@ -25,8 +31,8 @@ def test_create_singleton_universe():
 
 
 def test_create_empty_universe_has_no_sets():
-    for compact in STORAGE:
-        rp = RefinablePartition(0, compact=compact)
+    for int32 in STORAGE:
+        rp = _fresh(0, int32)
         assert rp.max == 0 and rp.sets == 0
         check_partition(rp)
 
@@ -40,9 +46,9 @@ def _elements(rp, s):
     return list(rp.elems[rp.first[s]:rp.end[s]])
 
 
-@pytest.mark.parametrize("compact", STORAGE)
-def test_scan_yields_each_element_once(compact):
-    rp = RefinablePartition(6, compact=compact)
+@pytest.mark.parametrize("int32", STORAGE)
+def test_scan_yields_each_element_once(int32):
+    rp = _fresh(6, int32)
     seen = _elements(rp, 0)
     assert sorted(seen) == list(range(6))
     assert len(seen) == 6
@@ -142,14 +148,14 @@ def test_fresh_indices_are_dense():
         assert rp.sets == 1 + splits
 
 
-@pytest.mark.parametrize("compact", STORAGE)
-def test_model_equivalence_randomized(compact):
+@pytest.mark.parametrize("int32", STORAGE)
+def test_model_equivalence_randomized(int32):
     """Random mark/split sequences agree with the naive model and keep
     every structural invariant, after every operation."""
-    rng = random.Random(20_000 + compact)
+    rng = random.Random(20_000 + int32)
     for _ in range(400):
         max_elems = rng.randrange(1, 65)
-        rp = RefinablePartition(max_elems, compact=compact)
+        rp = _fresh(max_elems, int32)
         model = ModelPartition(max_elems)
         for _ in range(rng.randrange(1, 30)):
             if rng.random() < 0.7:

@@ -6,7 +6,7 @@ from ptdfa import (
     bench, generate, hopcroft_minimize, minimize_with_stats, parse_grid,
     rows_to_csv, serialize, validate,
 )
-from ptdfa.workload import CSV_COLUMNS
+from ptdfa.workload import ALGORITHMS, CSV_COLUMNS
 
 GRID_FILE = Path(__file__).resolve().parent.parent / "table1.grid"
 
@@ -90,6 +90,20 @@ def test_bench_all_algorithms_run():
     rows = bench([(8, 2, 0.5)], algos=("valmari", "hopcroft", "oracle"))
     assert [r["algo"] for r in rows] == ["valmari", "hopcroft", "oracle"]
     assert all(r["outcome"] == "ok" for r in rows)
+
+
+def test_bench_reports_running_out_of_memory_as_the_row_outcome(
+        monkeypatch):
+    def out_of_memory(d):
+        raise MemoryError
+
+    monkeypatch.setitem(ALGORITHMS, "valmari", out_of_memory)
+    [row] = bench([(5, 2, 0.5)])
+    assert row["outcome"] == "oom"
+    for col in ("m_in", "states_out", "trans_out", "splits",
+                "splitter_touches", "reverse_touches", "millis_min",
+                "millis_max"):
+        assert row[col] == "", col
 
 
 def test_bench_touch_columns_name_one_quantity_each():
