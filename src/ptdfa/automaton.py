@@ -502,31 +502,31 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     transitions of one member.  The blocks must be compatible with the
     transitions (members of one block have the same labels defined, with
     heads in the same block), as the blocks of a minimizer's final
-    partition are.  Omitting ``blocks`` gives every state a block of its
-    own, and so do ``blocks`` of ``d.n`` singletons: that quotient is
-    isomorphic to ``d``, so it has the same canonical form, and the
-    quotient is not built.  Requires every state (block) to be
-    reachable; raises :class:`UnreachableStateError` otherwise.
+    partition are; ``blocks`` that do not map the states onto 0..k-1
+    raise :class:`AutomatonError`.  Omitting ``blocks`` only renumbers
+    ``d``.  Requires every state (block) to be reachable; raises
+    :class:`UnreachableStateError` otherwise.
 
     Each block is read through its last member's slice of the
     out-index (:attr:`PtDfa.out_first`), which lists the labels in
     ascending order, and so the result's transitions come out in
-    (tail, label) order.  When no two states share a block, a state's
-    slice of the heads is read as it stands; otherwise each head is
-    mapped to its block.  O(n + m): one Python step per transition looks
-    for heads not yet numbered, and each block adds its tails as one
-    int32 repetition, its labels as one slice and its new heads as one
-    C-level map.
+    (tail, label) order; with ``blocks``, each head is mapped to its
+    block.  O(n + m): one Python step per transition looks for heads not
+    yet numbered, and each block adds its tails as one int32
+    repetition, its labels as one slice and its new heads as one C-level
+    map.
     """
     labels, heads, first = d.labels, d.heads, d.out_first
-    k = d.n if blocks is None else max(blocks) + 1
-    if k == d.n:
-        block_of = rep = range(k)
-        block = None
-    else:
+    block_of = rep = range(d.n)
+    block = None
+    if blocks is not None:
         block_of = blocks
         rep = dict(zip(blocks, range(d.n)))  # the last member of each block
+        # The k distinct indices are 0..k-1 exactly when they lie in it.
+        if len(blocks) != d.n or min(rep) < 0 or max(rep) >= len(rep):
+            raise AutomatonError(f"blocks must map {d.n} states to 0..k-1")
         block = blocks.__getitem__
+    k = len(rep)
 
     initial = block_of[d.initial]
     new_of = [-1] * k
@@ -619,7 +619,13 @@ class MinimizeStats:
     phases: dict = field(default_factory=dict)
 
     def within_scan_bounds(self) -> bool:
-        """Check the guaranteed worst-case scan counts."""
+        """Check the two-partition refiner's worst-case scan counts; a
+        ``ValueError`` names each counter that the run did not measure."""
+        if missing := [f for f in ("n_core", "m_core", "splitter_touches",
+                                   "small_half_touches")
+                       if getattr(self, f) is None]:
+            raise ValueError(f"scan bounds need {', '.join(missing)}, "
+                             "which this run did not measure")
         lg = self.n_core.bit_length() - 1
         return (self.splitter_touches <= self.m_core * (lg + 1)
                 and self.small_half_touches <= self.m_core * lg + self.m_core)

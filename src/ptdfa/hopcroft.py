@@ -37,12 +37,12 @@ class CompletedDfa:
 
     ``table[q][a]`` is the successor state; the predecessors of state q
     under label a are ``inv_elems[inv_offsets[q*alpha+a] :
-    inv_offsets[q*alpha+a+1]]``.  Both parts are Theta(alpha n).
+    inv_offsets[q*alpha+a+1]]``.  Both parts are Theta(alpha n).  The
+    sink is the last state, ``n - 1``.
     """
 
     n: int
     alpha: int
-    sink: int
     table: list
     inv_elems: array
     inv_offsets: array
@@ -108,7 +108,7 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
                                         missing[a * total:(a + 1) * total]))
             lo = 4 * offsets[base + a]
             elem_bytes[lo:lo + 4 * len(preds)] = memoryview(preds).cast("B")
-    return CompletedDfa(total, alpha, sink, table, elems, offsets, d.finals)
+    return CompletedDfa(total, alpha, table, elems, offsets, d.finals)
 
 
 def _refine_total(c: CompletedDfa):
@@ -149,7 +149,6 @@ def _refine_total(c: CompletedDfa):
     inv = c.inv_elems
     off = c.inv_offsets
     touches = 0
-    splits = 0
     while work:
         b = first if work.pop() else second
         a = len(work) - start
@@ -202,11 +201,11 @@ def _refine_total(c: CompletedDfa):
                 else:
                     fy[sym] = 1
                     push(0)
-            splits += 1
             if len(blocks) == c.n:
                 # Every block is a single state: none can split again.
                 work.clear()
-    return blocks, block_of, splits, touches
+    # Two blocks at the start, and each split appends one.
+    return blocks, block_of, len(blocks) - 2, touches
 
 
 def _refine_completed(c: CompletedDfa, stats: MinimizeStats, in_index) -> list:

@@ -18,16 +18,15 @@ element, and a worklist round calls no Python function unless a block
 splits (or a hook is given).
 A state in a singleton block, or a transition in a singleton transition
 set, is never marked: its split could only be trivial.  A round whose
-splitter is one transition, with its tail alone in its block, is
-skipped outright after counting its touch, since nothing can split.
-When that tail shares its block, the round always splits it: the tail
-is marked alone and ``split_block`` called, with no touched list.  A
-touched block or set that ended up marked whole has its marks cleared
-in place; only a real split calls ``split_block`` (blocks) or is
-carried out inline (transition sets).  The counters still count every
-skipped or cleared trivial split, the skipped round's included, as a
-split call of its partition, so ``split_calls`` reads the same as if
-each touched set had been passed to ``RefinablePartition.split``.
+splitter is one transition marks its tail alone and calls
+``split_block``, with no touched list: that splits the tail's block
+unless the tail is alone in it, when ``brp.split`` gives the trivial
+split.  A touched block or set that ended up marked whole has its
+marks cleared in place; only a real split calls ``split_block``
+(blocks) or is carried out inline (transition sets).  The counters
+still count every skipped or cleared trivial split as a split call of
+its partition, so ``split_calls`` reads the same as if each touched
+set had been passed to ``RefinablePartition.split``.
 
 Two rules drop work that can split nothing.  A block of one state never
 splits again, so when a split leaves a half of one state, the
@@ -98,7 +97,6 @@ class Refinement:
         self.brp = RefinablePartition(dp.n)
         # The worklist holds up to one entry per transition set.
         self.unready = deque() if worklist == "fifo" else array("i")
-        self.block_splits = 0
         self.splitter_touches = 0
         self.small_half_touches = 0
         self.trp = trp = init_trp_grouping(dp.labels, dp.alpha)
@@ -108,7 +106,6 @@ class Refinement:
         trp.first.append(0)
         trp.mid.append(0)
         trp.end.append(1)
-        self.out_first = dp.out_first
         # Enough -1 entries to retire the transitions out of any state:
         # they have distinct labels, one label set each.
         self.retired = array("i", [-1]) * trp.sets
@@ -154,12 +151,10 @@ class Refinement:
         if brp.sets == self.dp.n:
             # Every block is a single state (at n = 1 before any split),
             # so none can split again: the run ends with nothing pending.
-            self.block_splits += b2 is not None
             self.unready *= 0  # empties the array or the deque in place
             return
         if b2 is None:
             return
-        self.block_splits += 1
         bfirst = brp.first
         bend = brp.end
         trp = self.trp
@@ -171,7 +166,7 @@ class Refinement:
         size = bend[b] - f
         size2 = bend[b2] - f2
         if size == 1 or size2 == 1:
-            out_first = self.out_first
+            out_first = self.dp.out_first
             retired = self.retired
             if size == 1:
                 q = brp.elems[f]
@@ -284,15 +279,10 @@ class Refinement:
             e = tend[p]
             touches += e - f
             if e - f == 1:
+                # One transition: mark its tail alone and split its block.
                 q = tails[telems[f]]
                 b = bsidx[q]
                 mm = bfirst[b]
-                if bend[b] - mm == 1:
-                    # One transition, its tail alone in its block.
-                    trivial += 1
-                    continue
-                # One transition into a larger block: mark its tail
-                # alone, which always splits the block.
                 lq = bloc[q]
                 other = belems[mm]
                 belems[lq] = other
@@ -341,8 +331,8 @@ def _pipeline(d: PtDfa, refine, complete=None):
     stats, None)`` when a ``complete`` step is given.  The refiner fills
     its counters into ``stats`` and returns the final block of each
     state of ``dp``, numbered densely from 0; the result is the
-    canonical quotient by those blocks, which ``canonicalize`` skips
-    when every block is a single state.  Returns ``(dp, blocks, out,
+    canonical quotient by those blocks, or only ``dp`` renumbered when
+    every block is a single state.  Returns ``(dp, blocks, out,
     stats)``, with ``blocks`` None when no refinement ran;
     ``stats.phases`` holds the seconds of the preprocessing, of the
     ``complete`` step if there is one, of the refiner call and of the
@@ -378,7 +368,8 @@ def _pipeline(d: PtDfa, refine, complete=None):
         # Neither is held while the quotient is built.
         source = in_index = None
         t2 = perf_counter()
-        out = canonicalize(dp, blocks)
+        # Dense block numbers: k == n blocks are all single states.
+        out = canonicalize(dp, None if max(blocks) + 1 == dp.n else blocks)
     else:
         blocks = None
         t2 = t1
@@ -397,7 +388,8 @@ def _refine(dp: PtDfa, stats: MinimizeStats, in_index, worklist: str,
     """The two-partition refiner: the final block of each state."""
     ref = Refinement(dp, worklist=worklist, in_index=in_index)
     ref.run(hook)
-    stats.splits = ref.block_splits
+    # One block at the start, and each real split adds one.
+    stats.splits = ref.brp.sets - 1
     stats.splitter_touches = ref.splitter_touches
     stats.small_half_touches = ref.small_half_touches
     return ref.brp.sidx

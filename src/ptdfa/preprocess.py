@@ -94,8 +94,12 @@ def _relevant_mask(d: PtDfa, in_index) -> bytearray:
 def restrict(d: PtDfa, keep) -> PtDfa:
     """Drop the states outside ``keep`` and every transition touching
     them; survivors are renumbered densely in ascending order and the
-    kept transitions stay in their relative order."""
+    kept transitions stay in their relative order.  A kept state must be
+    an int (not a bool)."""
     keep = set(keep)
+    for q in keep:
+        if type(q) is not int:
+            raise AutomatonError(f"kept state {q!r} is not an int")
     if keep and (min(keep) < 0 or max(keep) >= d.n):
         bad = next(q for q in sorted(keep) if not 0 <= q < d.n)
         raise AutomatonError(f"kept state {bad} out of range 0..{d.n - 1}")

@@ -1,4 +1,4 @@
-"""A refinable partition of {0, ..., max-1} backed by six flat arrays.
+"""A refinable partition of {0, ..., n-1} backed by six flat arrays.
 
 The elements of every set are kept contiguous inside one permutation
 array, so membership and size are O(1), a set is read as one slice of
@@ -13,7 +13,7 @@ __all__ = ["RefinablePartition"]
 
 
 class RefinablePartition:
-    """Partition of 0..max-1 into numbered, nonempty, disjoint sets.
+    """Partition of 0..max_elems-1 into numbered, nonempty, disjoint sets.
 
     It starts as one set, or as none when the universe is empty.  The
     minimizer's transition partition does not start there:
@@ -28,8 +28,7 @@ class RefinablePartition:
 
     Set indices are dense: each successful ``split`` assigns the next
     free index (post-increment of ``sets``).  ``first``, ``mid`` and
-    ``end`` are allocated for the worst case of ``max`` singleton sets up
-    front, so no operation ever reallocates.
+    ``end`` have a slot per element, so no operation ever reallocates.
 
     The constructor builds the six buffers as lists.  Every operation
     serves int32 ``array('i')`` buffers as well, which take half the
@@ -46,7 +45,7 @@ class RefinablePartition:
     all splits never exceed the number of marks.
     """
 
-    __slots__ = ("max", "sets", "elems", "loc", "sidx", "first", "end",
+    __slots__ = ("sets", "elems", "loc", "sidx", "first", "end",
                  "mid", "mark_calls", "split_calls", "split_steps")
 
     def __init__(self, max_elems: int):
@@ -58,7 +57,6 @@ class RefinablePartition:
         self.first = [0] * max_elems
         self.mid = [0] * max_elems
         self.end = [0] * max_elems
-        self.max = max_elems
         self.sets = min(max_elems, 1)
         if max_elems:
             self.end[0] = max_elems
@@ -73,12 +71,12 @@ class RefinablePartition:
 
     def set_of(self, e: int) -> int:
         """Index of the set containing element ``e``."""
-        assert 0 <= e < self.max
+        assert 0 <= e < len(self.sidx)
         return self.sidx[e]
 
     def mark(self, e: int) -> None:
         """Mark ``e`` for the next split of its set; re-marking is a no-op."""
-        assert 0 <= e < self.max
+        assert 0 <= e < len(self.sidx)
         self.mark_calls += 1
         s = self.sidx[e]
         pos = self.loc[e]

@@ -41,7 +41,6 @@ def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
     # Six zeroed buffers in place of the one set 0..m-1 that the
     # constructor fills in: the loops below write each entry once.
     rp = RefinablePartition(0)
-    rp.max = m
     rp.elems, rp.loc, rp.sidx, rp.first, rp.mid, rp.end = (
         array("i", [0]) * m for _ in range(6))
     first = rp.first

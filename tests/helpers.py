@@ -31,21 +31,22 @@ def as_int32(rp):
 
 def check_partition(rp):
     """Assert every structural invariant of a refinable partition."""
-    seen = bytearray(rp.max)
+    size = len(rp.sidx)
+    seen = bytearray(size)
     covered = 0
     for s in range(rp.sets):
         f, m, e = rp.first[s], rp.mid[s], rp.end[s]
-        assert 0 <= f <= m <= e <= rp.max
+        assert 0 <= f <= m <= e <= size
         assert f < e, "sets are nonempty"
         for i in range(f, e):
             el = rp.elems[i]
-            assert 0 <= el < rp.max
+            assert 0 <= el < size
             assert not seen[el], "set slices overlap"
             seen[el] = 1
             assert rp.loc[el] == i, "loc must invert elems"
             assert rp.sidx[el] == s
         covered += e - f
-    assert covered == rp.max, "set slices cover the universe"
+    assert covered == size, "set slices cover the universe"
 
 
 def partition_sets(rp):
@@ -253,6 +254,7 @@ class ReferenceRefinement(Refinement):
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)
+        self.block_splits = 0
         self.touched_blocks = []
         self.touched_spls = []
 
@@ -407,7 +409,7 @@ def reference_sink_complete(d: PtDfa) -> CompletedDfa:
             key = row[a] * alpha + a
             elems[cursor[key]] = q
             cursor[key] += 1
-    return CompletedDfa(total, alpha, sink, table, elems, offsets, d.finals)
+    return CompletedDfa(total, alpha, table, elems, offsets, d.finals)
 
 
 def reference_refine_total(c: CompletedDfa):

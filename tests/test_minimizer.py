@@ -12,6 +12,7 @@ from ptdfa import (
 from ptdfa import automaton, minimizer, preprocess
 from ptdfa.automaton import bucket_by
 from ptdfa.oracle import language_partition
+from ptdfa.workload import ALGORITHMS
 
 from helpers import (
     RETIRED, ReferenceRefinement, all_words, final_partition_violations,
@@ -117,6 +118,19 @@ def test_no_set_is_carved_for_a_transition_out_of_a_one_state_block():
     assert stats.within_scan_bounds(), stats
 
 
+def test_scan_bounds_name_the_counters_a_run_did_not_measure():
+    d = generate(20, 3, 0.5, 10, seed=1)
+    assert ALGORITHMS["valmari"](d)[1].within_scan_bounds()
+    # Hopcroft's splitter_touches count reverse-index entries, which
+    # the two-partition bound does not cover; its small half is unmeasured.
+    with pytest.raises(ValueError, match="^scan bounds need "
+                       "small_half_touches, which this run did not measure$"):
+        ALGORITHMS["hopcroft"](d)[1].within_scan_bounds()
+    with pytest.raises(ValueError, match="^scan bounds need n_core, m_core, "
+                       "splitter_touches, small_half_touches, which"):
+        ALGORITHMS["oracle"](d)[1].within_scan_bounds()
+
+
 def _ring(small, copies):
     """``copies`` copies of ``small`` in a ring: state (i, q) goes on
     label a to ((i+1) mod copies, delta(q, a)), so the copies of each
@@ -149,14 +163,15 @@ def _refinement_cases():
 def _refinement_result(ref):
     trp = ref.trp
     return (partition_sets(ref.brp), list(ref.brp.sidx), list(ref.unready),
-            ref.block_splits, ref.splitter_touches, ref.small_half_touches,
+            ref.brp.sets - 1, ref.splitter_touches, ref.small_half_touches,
             ref.brp.split_calls, ref.brp.split_steps,
             partition_sets(trp), trp.sets, trp.split_calls, trp.split_steps)
 
 
 def _one_transition_skips(dp, worklist):
     """Rounds that pop a one-transition set whose tail is alone in its
-    block: the rounds ``Refinement.run`` skips."""
+    block: the rounds whose ``split_block`` call in ``Refinement.run``
+    gets the trivial split."""
     skips = 0
 
     def hook(r):
@@ -184,9 +199,11 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
             ref = cls(dp, worklist=worklist)
             rounds = []
             ref.run(lambda r: rounds.append(
-                (list(r.unready), partition_sets(r.brp), r.block_splits)))
+                (list(r.unready), partition_sets(r.brp), r.brp.sets - 1)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
+        # The reference counts its real splits itself.
+        assert ref.block_splits == ref.brp.sets - 1
         # Every transition set is queued exactly once, and popped unless
         # the run stopped at n singleton blocks with sets still pending.
         if ref.brp.sets == dp.n:

@@ -170,6 +170,15 @@ def test_restrict_refuses_out_of_range_state():
         restrict(d, {-1, 0})
 
 
+def test_restrict_refuses_a_state_that_is_not_an_int():
+    d = PtDfa.from_triples(3, 1, [(0, 0, 1), (1, 0, 2)], 0, {2})
+    # True would keep state 1, 2.0 fail as an index, "a" fail to compare.
+    for bad in (True, 2.0, "a"):
+        with pytest.raises(AutomatonError,
+                           match=f"kept state {bad!r} is not an int"):
+            restrict(d, {0, bad})
+
+
 def test_restrict_renumbers_in_ascending_order():
     d = PtDfa.from_triples(4, 1, [(0, 0, 3), (3, 0, 0)], 0, {3})
     r = restrict(d, {0, 3})

@@ -33,7 +33,7 @@ def test_create_singleton_universe():
 def test_create_empty_universe_has_no_sets():
     for int32 in STORAGE:
         rp = _fresh(0, int32)
-        assert rp.max == 0 and rp.sets == 0
+        assert len(rp.sidx) == 0 and rp.sets == 0
         check_partition(rp)
 
 

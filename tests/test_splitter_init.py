@@ -26,7 +26,7 @@ def test_grouping_interleaved_labels():
 
 def test_grouping_of_no_labels_has_no_sets():
     rp = init_trp_grouping([], alpha=2)
-    assert rp.max == 0 and rp.sets == 0
+    assert len(rp.sidx) == 0 and rp.sets == 0
     check_partition(rp)
 
 
