@@ -502,10 +502,11 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     transitions of one member.  The blocks must be compatible with the
     transitions (members of one block have the same labels defined, with
     heads in the same block), as the blocks of a minimizer's final
-    partition are; ``blocks`` that do not map the states onto 0..k-1
-    raise :class:`AutomatonError`.  Omitting ``blocks`` only renumbers
-    ``d``.  Requires every state (block) to be reachable; raises
-    :class:`UnreachableStateError` otherwise.
+    partition are; ``blocks`` that do not map the states onto 0..k-1,
+    or whose distinct indices are not all ints (a float or a bool is
+    refused, never coerced), raise :class:`AutomatonError`.  Omitting
+    ``blocks`` only renumbers ``d``.  Requires every state (block) to be
+    reachable; raises :class:`UnreachableStateError` otherwise.
 
     Each block is read through its last member's slice of the
     out-index (:attr:`PtDfa.out_first`), which lists the labels in
@@ -522,7 +523,11 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     if blocks is not None:
         block_of = blocks
         rep = dict(zip(blocks, range(d.n)))  # the last member of each block
-        # The k distinct indices are 0..k-1 exactly when they lie in it.
+        # The k distinct indices, typed in one C-level pass over them, are
+        # 0..k-1 exactly when they are ints that lie in it.
+        if not set(map(type, rep)) <= {int}:
+            bad = next(b for b in rep if type(b) is not int)
+            raise AutomatonError(f"block index {bad!r} is not an int")
         if len(blocks) != d.n or min(rep) < 0 or max(rep) >= len(rep):
             raise AutomatonError(f"blocks must map {d.n} states to 0..k-1")
         block = blocks.__getitem__
@@ -595,7 +600,10 @@ def accepts(d: PtDfa, word) -> bool:
 class MinimizeStats:
     """Instrumentation from one minimization run.
 
-    ``n_core``/``m_core`` are the sizes after dead-state removal; the
+    ``n_core``/``m_core`` are the sizes after dead-state removal;
+    ``initial_blocks`` is the number of blocks that the two-partition
+    refinement starts from, None for the other algorithms and when no
+    refinement ran; ``splits`` is the final block count less one; the
     scan counters are bounded by them: splitter scan touches stay within
     m*(floor(lg n) + 1) and smaller-half rescan touches within
     m*floor(lg n) + m.  ``phases`` maps each step of the minimization
@@ -612,6 +620,7 @@ class MinimizeStats:
     m_out: int = 0
     n_core: int = 0
     m_core: int = 0
+    initial_blocks: int = None
     splits: int = 0
     splitter_touches: int = 0
     small_half_touches: int = 0

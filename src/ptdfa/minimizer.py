@@ -11,6 +11,25 @@ left whole keeps its index and its worklist status.  Rescanning only the
 smaller half bounds the number of times any transition is revisited by
 log n, for O(m log n) total work and O(m) memory.
 
+The paper starts from the blocks {F, Q - F}, and its first rounds work
+out which labels each state has defined.  Here the blocks start as the
+classes of the states by finality and by their set of defined labels,
+read off the out-index in C-level passes
+(:func:`~ptdfa.splitter_init.init_block_grouping`), and the transition
+sets as the classes of the transitions by (label, head block), all
+pending (:func:`~ptdfa.splitter_init.init_trp_grouping`).  Both take
+O(n + m).  This start never separates two states of one language: every
+state of a trimmed automaton accepts some word, so if label a is
+defined at p but not at q, then a followed by a word that p's
+a-successor accepts is accepted from p and not from q.  The coarsest
+stable refinement of the start is therefore still language
+equivalence, and the output is the same as from {F, Q - F}.  The scan
+bounds keep holding: each initial transition set is popped at most
+once, as each label's set was, and every later split still rescans its
+smaller half.  When the start already has n blocks, as it has on a
+random sparse automaton, no transition set is built and the run makes
+no round.
+
 Both partitions are :class:`RefinablePartition` arrays that the loops
 read and write directly, and the worklist is a plain ``array('i')``
 (or a ``deque`` for FIFO order).  The two inner loops avoid a call per
@@ -29,8 +48,8 @@ its partition, so ``split_calls`` reads the same as if each touched
 set had been passed to ``RefinablePartition.split``.
 
 Two rules drop work that can split nothing.  A block of one state never
-splits again, so when a split leaves a half of one state, the
-transitions out of it, one slice of the out-index, are retired: their
+splits again, so when the start or a split leaves a block of one state,
+the transitions out of it, one slice of the out-index, are retired: their
 set index becomes -1, which reads an extra slot shaped like a
 one-transition set, so the mark loop skips them as it skips a singleton
 set and never carves them into a fresh set.  A retired transition stays
@@ -66,7 +85,7 @@ from .automaton import MinimizeStats, PtDfa, bucket_by, canonicalize
 from .preprocess import (_relevant_mask as relevant_states,
                          _restricted as restrict, empty_dfa)
 from .refinable_partition import RefinablePartition
-from .splitter_init import init_trp_grouping
+from .splitter_init import init_block_grouping, init_trp_grouping
 
 __all__ = ["Refinement", "minimize", "minimize_with_stats", "final_blocks"]
 
@@ -77,9 +96,11 @@ class Refinement:
     ``dp`` must already be preprocessed: every state reachable and
     co-reachable, at least one final state.  ``in_index``, if given,
     must be ``bucket_by(dp.heads, dp.n)``, the incoming transitions of
-    each state in CSR form; it is built when omitted.  ``run()`` drives
-    the refinement to the fixpoint; the final block of state q is
-    ``brp.set_of(q)``.
+    each state in CSR form; it is built when omitted, unless the
+    initial blocks are single states, which never split.  ``run()``
+    drives the refinement to the fixpoint; the final block of state q is
+    ``brp.set_of(q)``, and ``brp.sets`` before ``run()`` is the number
+    of initial blocks.
 
     ``unready``, the worklist of pending transition sets, is a plain
     container that new sets are appended to: an ``array('i')`` popped
@@ -94,12 +115,19 @@ class Refinement:
         if worklist not in ("lifo", "fifo"):
             raise ValueError(f"unknown worklist discipline {worklist!r}")
         self.dp = dp
-        self.brp = RefinablePartition(dp.n)
+        self.brp = brp = init_block_grouping(dp)
         # The worklist holds up to one entry per transition set.
         self.unready = deque() if worklist == "fifo" else array("i")
         self.splitter_touches = 0
         self.small_half_touches = 0
-        self.trp = trp = init_trp_grouping(dp.labels, dp.alpha)
+        if brp.sets == dp.n:
+            # Every block is a single state, so none can split: no
+            # transition set is built, and the run makes no round.
+            self.trp = trp = RefinablePartition(0)
+            in_index = ((), ())
+        else:
+            self.trp = trp = init_trp_grouping(dp.labels, dp.alpha,
+                                               dp.heads, brp.sidx)
         # Set index -1 reads one extra slot, shaped like a one-transition
         # set: a retired transition points there, so the singleton-set
         # test of the mark loop skips it.
@@ -107,13 +135,24 @@ class Refinement:
         trp.mid.append(0)
         trp.end.append(1)
         # Enough -1 entries to retire the transitions out of any state:
-        # they have distinct labels, one label set each.
-        self.retired = array("i", [-1]) * trp.sets
+        # they have distinct labels, so each lies in a set of its own.
+        self.retired = retired = array("i", [-1]) * trp.sets
+        if trp.sets:
+            # A block of one state never splits: the transitions out of
+            # a state that starts alone in its block are retired at once.
+            out_first = dp.out_first
+            bfirst = brp.first
+            for b, e in enumerate(brp.end[:brp.sets]):
+                if e - bfirst[b] == 1:
+                    q = brp.elems[e - 1]
+                    lo = out_first[q]
+                    hi = out_first[q + 1]
+                    trp.sidx[lo:hi] = retired[:hi - lo]
         if in_index is None:
             in_index = bucket_by(dp.heads, dp.n)
         self.in_order, self.in_first = in_index
         # Initial transition sets are exactly 0..sets-1, all pending.
-        self.unready.extend(range(self.trp.sets))
+        self.unready.extend(range(trp.sets))
 
     def unready_pairs(self) -> set:
         """Live worklist contents as (target block, label) pairs, read
@@ -149,8 +188,8 @@ class Refinement:
         brp = self.brp
         b2 = brp.split(b)
         if brp.sets == self.dp.n:
-            # Every block is a single state (at n = 1 before any split),
-            # so none can split again: the run ends with nothing pending.
+            # Every block is a single state, so none can split again:
+            # the run ends with nothing pending.
             self.unready *= 0  # empties the array or the deque in place
             return
         if b2 is None:
@@ -243,14 +282,11 @@ class Refinement:
         trp.sets = new
 
     def run(self, hook=None) -> None:
-        """Split off the final states, then refine until the worklist
-        drains.  ``hook(self)``, if given, fires at the top of every
-        worklist round."""
+        """Refine the initial partition until the worklist drains.
+        ``hook(self)``, if given, fires at the top of every worklist
+        round."""
         dp = self.dp
         brp = self.brp
-        for q in sorted(dp.finals):
-            brp.mark(q)
-        self.split_block(0)
         trp = self.trp
         telems = trp.elems
         tfirst = trp.first
@@ -387,8 +423,10 @@ def _refine(dp: PtDfa, stats: MinimizeStats, in_index, worklist: str,
             hook) -> list:
     """The two-partition refiner: the final block of each state."""
     ref = Refinement(dp, worklist=worklist, in_index=in_index)
+    stats.initial_blocks = ref.brp.sets
     ref.run(hook)
-    # One block at the start, and each real split adds one.
+    # The final block count less one: the separations of the initial
+    # partition count as splits, as they did when the run made them.
     stats.splits = ref.brp.sets - 1
     stats.splitter_touches = ref.splitter_touches
     stats.small_half_touches = ref.small_half_touches

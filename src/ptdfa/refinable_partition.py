@@ -15,10 +15,11 @@ __all__ = ["RefinablePartition"]
 class RefinablePartition:
     """Partition of 0..max_elems-1 into numbered, nonempty, disjoint sets.
 
-    It starts as one set, or as none when the universe is empty.  The
-    minimizer's transition partition does not start there:
-    :func:`ptdfa.splitter_init.init_trp_grouping` writes its buffers
-    once, with one set per label.
+    It starts as one set, or as none when the universe is empty.
+    Neither partition of the minimizer starts there: the functions of
+    :mod:`ptdfa.splitter_init` write their buffers once, with one block
+    per class of the states by finality and out-label set, and one
+    transition set per (label, head block) pair.
 
     Layout: ``elems`` is a permutation of the universe in which each set
     occupies the slice ``elems[first[s]:end[s]]`` (order unspecified),
@@ -33,8 +34,8 @@ class RefinablePartition:
     The constructor builds the six buffers as lists.  Every operation
     serves int32 ``array('i')`` buffers as well, which take half the
     memory and index slightly slower.  The minimizer keeps its blocks in
-    the constructor's lists, and its transition sets, one element per
-    transition, in the arrays that ``init_trp_grouping`` writes.
+    lists, and its transition sets, one element per transition, in
+    arrays.
 
     ``mark`` and ``split`` must not be called on an instance while one of
     its sets is being scanned (they reorder elements within slices).

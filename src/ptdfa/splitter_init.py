@@ -1,71 +1,114 @@
-"""Initial grouping of transitions by label into a refinable partition.
+"""The initial groupings of the refinement's two partitions.
 
-Refinement starts from one transition set per label, which
-``init_trp_grouping`` builds for any input order in O(m) time and
-memory, independent of the alphabet size.  The labels are mapped to
-their set indices a chunk at a time, so the fill loop iterates a short
-list of the index dict's own int objects, and it moves a cursor kept in
-a Python list of the set ends, not in an array, whose every read would
-create an int.  No m-entry list is ever held.
+Refinement starts from one block per class of the states by finality
+and out-label set, which :func:`init_block_grouping` builds, and from
+one transition set per (label, head block) pair, which
+:func:`init_trp_grouping` builds.  Each numbers the distinct keys of its
+elements in order of first appearance, in one C-level pass through a
+dict whose missing keys take the next number, and lays the classes out
+back to back in one Python loop over the elements.  O(n + m) time and
+memory in all, independent of the alphabet size.  The keys of the
+transitions flow through C-level ``map`` and ``zip`` calls one at a
+time, so no list of a key per transition is ever held.
 """
 
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import accumulate, count, islice, repeat
+from operator import getitem, mul
 
-from .automaton import AutomatonError
+from .automaton import AutomatonError, PtDfa
 from .refinable_partition import RefinablePartition
 
-__all__ = ["init_trp_grouping"]
+__all__ = ["init_block_grouping", "init_trp_grouping"]
 
-# Transitions mapped to their set indices per fill step.
+# States whose label sets are numbered per step.
 _CHUNK = 4096
 
 
-def init_trp_grouping(labels, alpha: int) -> RefinablePartition:
-    """One partition set per distinct label, any input order.
+def _partition(sidx, zero) -> RefinablePartition:
+    """The partition of 0..len(sidx)-1 in which element e lies in set
+    ``sidx[e]``, for set indices 0, 1, ... in order of first appearance.
 
-    Set i holds the transitions of the i-th distinct label in order of
+    The sets are laid out back to back, each in descending element
+    order, with no marks.  ``sidx`` becomes the partition's own, and the
+    other five buffers are ``zero * len(sidx)``, of its type.
+    """
+    size = len(sidx)
+    rp = RefinablePartition(0)
+    rp.elems, rp.loc, rp.first, rp.mid, rp.end = (
+        zero * size for _ in range(5))
+    rp.sidx = sidx
+    # Set i first appears before set i + 1, so the counts come in order.
+    counts = Counter(sidx)
+    rp.sets = sets = len(counts)
+    ends = zero[:0]
+    ends.extend(accumulate(counts.values()))
+    rp.end[:sets] = ends
+    rp.first[1:sets] = ends[:-1]
+    rp.mid[:sets] = rp.first[:sets]
+    elems = rp.elems
+    loc = rp.loc
+    # Each cursor counts down from its set's end while the set is filled;
+    # the cursors are a list, whose reads create no int, as an array's do.
+    cursor = list(ends)
+    for e, i in enumerate(sidx):
+        pos = cursor[i] - 1
+        cursor[i] = pos
+        elems[pos] = e
+        loc[e] = pos
+    return rp
+
+
+def init_block_grouping(d: PtDfa) -> RefinablePartition:
+    """One block per class of the states of ``d`` by finality and
+    out-label set, numbered in order of first appearance, in a partition
+    whose six buffers are lists.
+
+    The label set of state q is the bytes of its slice of ``d.labels``,
+    which the out-index lists by ascending label.  The slices are
+    numbered through one dict per finality, the two drawing on one
+    count, a chunk of states at a time: the byte offsets of a chunk are
+    a list, whose ints are made once, and only one chunk's are held.
+    O(n + m).
+    """
+    labels = d.labels.tobytes()
+    first = d.out_first
+    size = d.labels.itemsize
+    next_index = count().__next__
+    by_finality = (defaultdict(next_index), defaultdict(next_index))
+    sidx = []
+    for s in range(0, d.n, _CHUNK):
+        ends = list(map(mul, first[s:s + _CHUNK + 1], repeat(size)))
+        label_sets = map(labels.__getitem__,
+                         map(slice, ends, islice(ends, 1, None)))
+        finality = map(d.finals.__contains__, range(s, min(s + _CHUNK, d.n)))
+        sidx += map(getitem, map(by_finality.__getitem__, finality),
+                    label_sets)
+    return _partition(sidx, [0])
+
+
+def init_trp_grouping(labels, alpha: int, heads=None,
+                      blocks=None) -> RefinablePartition:
+    """One partition set per distinct label, or, given ``heads`` and
+    the block of each state in ``blocks``, per distinct (label, head
+    block) pair, for any input order.
+
+    Set i holds the transitions of the i-th distinct key in order of
     first appearance, laid out back to back, each set in descending
-    transition order, in a partition whose six buffers are int32
-    arrays, each written once.  O(m) time and memory: the set of each
-    label is looked up in a dict of the labels that occur, so no storage
-    grows with ``alpha``.  No labels give the empty partition, with no
-    sets.
+    transition order, in a partition whose six buffers are int32 arrays.
+    O(m) time and memory: the set of each key is looked up in a dict of
+    the keys that occur, so no storage grows with ``alpha``.  No labels
+    give the empty partition, with no sets.
     """
     m = len(labels)
     if m and (min(labels) < 0 or max(labels) >= alpha):
         bad = next(a for a in labels if not 0 <= a < alpha)
         raise AutomatonError(f"label {bad} out of range 0..{alpha - 1}")
-    counts = Counter(labels)  # keys in order of first appearance
-    index = {}
-    # Six zeroed buffers in place of the one set 0..m-1 that the
-    # constructor fills in: the loops below write each entry once.
-    rp = RefinablePartition(0)
-    rp.elems, rp.loc, rp.sidx, rp.first, rp.mid, rp.end = (
-        array("i", [0]) * m for _ in range(6))
-    first = rp.first
-    end = rp.end
-    cursor = []
-    total = 0
-    for i, (a, c) in enumerate(counts.items()):
-        index[a] = i
-        first[i] = total
-        total += c
-        end[i] = total
-        cursor.append(total)
-    elems = rp.elems
-    loc = rp.loc
-    sidx = rp.sidx
-    set_of = index.__getitem__
-    # Each cursor counts down from its set's end while the set is filled.
-    for s in range(0, m, _CHUNK):
-        chunk = list(map(set_of, labels[s:s + _CHUNK]))
-        sidx[s:s + len(chunk)] = array("i", chunk)
-        for t, i in enumerate(chunk, s):
-            pos = cursor[i] - 1
-            cursor[i] = pos
-            elems[pos] = t
-            loc[t] = pos
-    rp.sets = sets = len(cursor)
-    rp.mid[:sets] = first[:sets]
-    return rp
+    keys = labels
+    if blocks is not None:
+        # zip reuses its pair when the lookup has let go of it.
+        keys = zip(labels, map(blocks.__getitem__, heads))
+    index = defaultdict(count().__next__)
+    sidx = array("i", map(index.__getitem__, keys))
+    return _partition(sidx, array("i", [0]))

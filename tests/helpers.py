@@ -246,11 +246,14 @@ class ReferenceRefinement(Refinement):
     The real splits, the worklist order and every counter must come out
     the same as the refinement loop's.
 
-    It keeps the refiner's two rules in its own way: a split that leaves
-    every block a single state empties the worklist, and a half of one
-    state has its outgoing transitions retired one by one; a retired
-    transition is never marked again, and each touch of one counts as a
-    trivial split call of the transition partition."""
+    It starts from the refiner's initial partitions, the blocks by
+    finality and out-label set and the transition sets by (label, head
+    block), and counts in ``block_splits`` only the splits that it makes
+    itself.  It keeps the refiner's two rules in its own way: a split
+    that leaves every block a single state empties the worklist, and a
+    half of one state has its outgoing transitions retired one by one; a
+    retired transition is never marked again, and each touch of one
+    counts as a trivial split call of the transition partition."""
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)
@@ -332,14 +335,11 @@ class ReferenceRefinement(Refinement):
                 unready_add(p2)
 
     def run(self, hook=None) -> None:
-        """Split off the final states, then refine until the worklist
-        drains.  ``hook(self)``, if given, fires at the top of every
-        worklist round."""
+        """Refine the initial partition, which it inherits, until the
+        worklist drains.  ``hook(self)``, if given, fires at the top of
+        every worklist round."""
         dp = self.dp
         brp = self.brp
-        for q in sorted(dp.finals):
-            brp.mark(q)
-        self.split_block(0)
         trp = self.trp
         telems = trp.elems
         tfirst = trp.first

@@ -550,6 +550,18 @@ def test_canonicalize_refuses_blocks_outside_its_contract():
             canonicalize(d, blocks)
 
 
+def test_canonicalize_refuses_block_indices_that_are_not_ints():
+    d = PtDfa.from_triples(3, 2, [(0, 0, 1), (0, 1, 2)], 0, {1, 2})
+    # A float index used to raise a bare TypeError, and a bool was read
+    # as the int it equals.
+    for blocks, bad in (([0.0, 1.0, 1.0], "0.0"), ([False, True, True],
+                                                   "False"),
+                        ([0, 1.0, 1], "1.0"), (["a", "b", "b"], "'a'")):
+        with pytest.raises(AutomatonError,
+                           match=f"^block index {bad} is not an int$"):
+            canonicalize(d, blocks)
+
+
 def test_isomorphism_reflexive():
     d = _reachable_part(generate(6, 2, 0.8, 3, seed=2))
     assert is_isomorphic(d, d)

@@ -2,7 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptdfa import cli, generate, minimize, serialize
+from ptdfa import (cli, generate, minimize, minimize_with_stats, parse,
+                   serialize)
 
 HEADER_ONLY = "dfa 1 1 0 0 0\n"
 
@@ -119,6 +120,18 @@ def test_minimize_stats_go_to_stderr():
         "phase.parse", "phase.serialize"]
     assert min(float(stats["phase.parse"]), float(stats["phase.serialize"]),
                float(stats["seconds"])) >= 0.0
+
+
+def test_minimize_stats_print_initial_blocks_for_valmari_only():
+    text = serialize(generate(40, 3, 0.5, 20, seed=0))
+    initial = minimize_with_stats(parse(text))[1].initial_blocks
+    assert initial > 1
+    for algo in ("valmari", "hopcroft", "oracle"):
+        r = run_cli("minimize", "--algo", algo, "--stats", stdin=text)
+        assert r.returncode == 0
+        stats = dict(line.split("=") for line in r.stderr.splitlines())
+        assert stats.get("initial_blocks") == (
+            str(initial) if algo == "valmari" else None)
 
 
 def test_generate_deterministic_bytes(tmp_path: Path):

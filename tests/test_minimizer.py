@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import fields
+from itertools import chain
 
 import pytest
 
@@ -15,8 +16,9 @@ from ptdfa.oracle import language_partition
 from ptdfa.workload import ALGORITHMS
 
 from helpers import (
-    RETIRED, ReferenceRefinement, all_words, final_partition_violations,
-    partition_sets, worklist_invariant_ok,
+    RETIRED, ReferenceRefinement, all_words, check_partition,
+    final_partition_violations, iter_tiny_dfas, partition_sets,
+    worklist_invariant_ok,
 )
 
 
@@ -42,15 +44,18 @@ def test_split_block_without_marks_changes_nothing():
 
 
 def test_split_block_equal_halves_scans_marked_half():
-    # Marking {2, 3} splits the four states into equal halves; the
+    # Every state is final with labels {0, 1}, so the refinement starts
+    # from one block.  Marking {2, 3} splits it into equal halves; the
     # marked (new) half must be the one scanned, so the transitions
     # into 2 and 3 are carved out of their label sets while the ones
     # into 0 and 1 stay put.
-    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (1, 0, 0), (0, 1, 1), (1, 1, 3)],
+    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 0), (1, 1, 3),
+                                  (2, 0, 1), (2, 1, 0), (3, 0, 3), (3, 1, 2)],
                            0, {0, 1, 2, 3})
     dp = restrict(d, relevant_states(d))
     assert dp.n == 4
     ref = Refinement(dp)
+    assert ref.brp.sets == 1 and ref.trp.sets == 2
     ref.brp.mark(2)
     ref.brp.mark(3)
     pending_before = len(ref.unready)
@@ -58,37 +63,44 @@ def test_split_block_equal_halves_scans_marked_half():
     ref.split_block(0)
     assert ref.brp.set_of(2) == ref.brp.set_of(3) == 1
     assert ref.brp.set_of(0) == ref.brp.set_of(1) == 0
-    # transition 0 (head 2) and transition 3 (head 3) got fresh sets
-    assert ref.trp.set_of(0) != ref.trp.set_of(1)
-    assert ref.trp.set_of(3) != ref.trp.set_of(2)
+    # transitions 0 and 6 (heads 2 and 3, label 0) and transitions 3
+    # and 7 (heads 3 and 2, label 1) got fresh sets
+    assert ref.trp.set_of(0) == ref.trp.set_of(6) != ref.trp.set_of(2)
+    assert ref.trp.set_of(3) == ref.trp.set_of(7) != ref.trp.set_of(1)
     assert ref.trp.set_of(0) >= sets_before
     assert ref.trp.set_of(3) >= sets_before
     assert len(ref.unready) == pending_before + 2
 
 
 def test_split_block_whole_splitter_keeps_index_and_status():
-    # Every a-transition points into the scanned half, so the a-set is
-    # marked whole: it keeps its index and stays out of the worklist,
-    # while the partially marked b-set spawns a fresh pending set.
-    d = PtDfa.from_triples(3, 2, [(0, 0, 2), (0, 1, 1), (1, 1, 2)], 0, {2})
+    # One initial block, of four final states with labels {a, b}, split
+    # into the equal halves {0, 1} and {2, 3}.  Every a-transition points
+    # into the scanned half {2, 3}, so the a-set is marked whole: it
+    # keeps its index and stays out of the worklist, while the partially
+    # marked b-set spawns a fresh pending set for 1 -b-> 2.
+    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 3), (1, 1, 2),
+                                  (2, 0, 2), (2, 1, 0), (3, 0, 3), (3, 1, 1)],
+                           0, {0, 1, 2, 3})
     dp = restrict(d, relevant_states(d))
-    assert dp.n == 3
+    assert dp.n == 4
     ref = Refinement(dp)
+    assert ref.brp.sets == 1
     del ref.unready[:]
     a_set = ref.trp.set_of(0)
     ref.brp.mark(2)
+    ref.brp.mark(3)
     ref.split_block(0)
     assert ref.trp.set_of(0) == a_set
     assert ref.trp.no_marks(a_set)
     assert ref.trp.sets == 3
-    assert list(ref.unready) == [ref.trp.set_of(2)]
+    assert list(ref.unready) == [ref.trp.set_of(3)]
 
 
 def test_no_round_runs_once_every_block_is_a_single_state():
     # On a minimal input the last split leaves n singleton blocks, and
     # the run ends there: no round starts on the final partition.
     checked = rounds = 0
-    for d in _random_cases(60, max_n=12, seed_base=13_000):
+    for d in _random_cases(120, max_n=12, seed_base=13_000):
         seen = []
         dp, blocks, stats = final_blocks(
             d, loop_hook=lambda r: seen.append(r.brp.sets == r.dp.n))
@@ -102,19 +114,26 @@ def test_no_round_runs_once_every_block_is_a_single_state():
 
 
 def test_no_set_is_carved_for_a_transition_out_of_a_one_state_block():
-    # Splitting the finals {1, 2} off leaves state 0 alone, and the
-    # rescan of that smaller half reaches 0 -1-> 0.  Its tail can never
-    # split again, so it is retired, not carved out of the label-1 set
-    # into a third transition set.
-    d = PtDfa.from_triples(3, 2, [(0, 0, 1), (0, 1, 0), (1, 1, 2), (2, 1, 2)],
-                           0, {1, 2})
+    # The non-final states 0, 1 and 2 share the labels {0, 1}, so they
+    # start in one block.  Its first split, by the label-0 set into the
+    # block of state 4, leaves state 0 alone, and the rescan of that
+    # smaller half reaches 0 -1-> 0.  Its tail can never split again, so
+    # it is retired, not carved out of the label-1 set into a fifth
+    # transition set.
+    d = PtDfa.from_triples(6, 2, [(0, 0, 3), (0, 1, 0), (1, 0, 4), (1, 1, 2),
+                                  (2, 0, 4), (2, 1, 1), (4, 0, 3), (5, 0, 0),
+                                  (5, 1, 1)], 5, {3, 4, 5})
     ref = Refinement(d)
+    assert ref.brp.sets == 4 and ref.trp.sets == 4
     ref.run()
-    assert ref.trp.sets == 2
-    assert list(ref.trp.sidx) == [RETIRED, RETIRED, 1, 1]
-    assert list(ref.brp.sidx) == [0, 1, 1]
+    assert ref.trp.sets == 4
+    # The transitions out of states 3, 4 and 5, alone in their blocks
+    # from the start, are retired before the run.
+    assert list(ref.trp.sidx) == [RETIRED, RETIRED, 2, 1, 2, 1, RETIRED,
+                                  RETIRED, RETIRED]
+    assert list(ref.brp.sidx) == [0, 4, 4, 1, 2, 3]
     _, stats = minimize_with_stats(d)
-    assert stats.n_out == 2
+    assert stats.n_out == 5
     assert stats.within_scan_bounds(), stats
 
 
@@ -154,10 +173,15 @@ def _refinement_cases():
                        rng.randrange(0, n + 1), seed=12_000 + i)
     for i in range(6):
         yield _ring(generate(6, 2, 0.8, 3, seed=12_500 + i), 3 + i)
-    # Shaped like the random_sparse benchmark input: nearly minimal, so
-    # the run stops at n singleton blocks with most sets still pending.
+    # Shaped like the random_sparse benchmark input: every state has a
+    # label set of its own, so the run starts from n one-state blocks,
+    # builds no transition set and makes no round.
     for i in range(8):
         yield generate(80, 80, 0.1, 40, seed=12_600 + i)
+    # Complete: every state has every label, so the refinement starts
+    # from the paper's {F, Q - F} and takes many rounds from there.
+    for i in range(4):
+        yield generate(40, 2, 1.0, 20, seed=12_700 + i)
 
 
 def _refinement_result(ref):
@@ -187,6 +211,78 @@ def _one_transition_skips(dp, worklist):
     return skips
 
 
+def _label_set_key(dp, q):
+    first = dp.out_first
+    return q in dp.finals, tuple(dp.labels[first[q]:first[q + 1]])
+
+
+def test_start_partition_is_finality_and_label_sets_within_languages():
+    # Criterion 2's exhaustive tiny sweep, trimmed, and the refinement
+    # cases: before the run, the blocks are exactly the classes of
+    # (finality, out-label set), so they refine {F, Q - F} and the label
+    # sets, and they never split a class of equal languages.  The
+    # transition sets are exactly the (label, head block) classes, all
+    # pending and unmarked, with the transitions out of a state alone in
+    # its block retired.
+    checked = 0
+    for d in chain(iter_tiny_dfas(), _refinement_cases()):
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        ref = Refinement(dp)
+        brp, trp = ref.brp, ref.trp
+        check_partition(brp)
+        assert all(brp.no_marks(b) for b in range(brp.sets))
+        blocks_of_key = {}
+        keys_of_block = {}
+        for q, b in enumerate(brp.sidx):
+            key = _label_set_key(dp, q)
+            blocks_of_key.setdefault(key, set()).add(b)
+            keys_of_block.setdefault(b, set()).add(key)
+        assert all(len(v) == 1 for v in blocks_of_key.values())
+        assert all(len(v) == 1 for v in keys_of_block.values())
+        blocks_of_language = {}
+        for q, c in enumerate(language_partition(dp)):
+            blocks_of_language.setdefault(c, set()).add(brp.sidx[q])
+        assert all(len(v) == 1 for v in blocks_of_language.values())
+        if brp.sets == dp.n:
+            assert trp.sets == 0 and len(ref.unready) == 0
+            checked += 1
+            continue
+        alone = {q for q in range(dp.n) if brp.size(brp.sidx[q]) == 1}
+        pairs = set()
+        seen = 0
+        for p in range(trp.sets):
+            assert trp.mid[p] == trp.first[p]
+            members = trp.elems[trp.first[p]:trp.end[p]]
+            pair, = {(dp.labels[t], brp.sidx[dp.heads[t]]) for t in members}
+            assert pair not in pairs
+            pairs.add(pair)
+            for t in members:
+                assert trp.sidx[t] == (RETIRED if dp.tails[t] in alone else p)
+            seen += len(members)
+        assert seen == dp.m and sorted(trp.elems[:dp.m]) == list(range(dp.m))
+        assert list(ref.unready) == list(range(trp.sets))
+        checked += 1
+    assert checked > 10_000
+
+
+def test_no_transition_set_is_built_when_every_label_set_differs():
+    for i in range(8):
+        d = generate(80, 80, 0.1, 40, seed=12_600 + i)
+        dp = restrict(d, relevant_states(d))
+        # The premise: no two states have the same label set.
+        assert len({_label_set_key(dp, q)[1] for q in range(dp.n)}) == dp.n
+        ref = Refinement(dp)
+        rounds = []
+        ref.run(rounds.append)
+        assert rounds == []
+        assert ref.trp.sets == 0 and ref.brp.sets == dp.n
+        assert ref.splitter_touches == ref.small_half_touches == 0
+        _, stats = minimize_with_stats(dp)
+        assert stats.initial_blocks == dp.n == stats.splits + 1
+
+
 @pytest.mark.parametrize("worklist", ["lifo", "fifo"])
 def test_refinement_loop_matches_call_per_split_reference(worklist):
     covered = set()
@@ -197,13 +293,14 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
         runs = []
         for cls in (Refinement, ReferenceRefinement):
             ref = cls(dp, worklist=worklist)
+            initial_blocks = ref.brp.sets
             rounds = []
             ref.run(lambda r: rounds.append(
                 (list(r.unready), partition_sets(r.brp), r.brp.sets - 1)))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
-        # The reference counts its real splits itself.
-        assert ref.block_splits == ref.brp.sets - 1
+        # The reference counts the real splits that it makes itself.
+        assert ref.block_splits == ref.brp.sets - initial_blocks
         # Every transition set is queued exactly once, and popped unless
         # the run stopped at n singleton blocks with sets still pending.
         if ref.brp.sets == dp.n:
@@ -362,12 +459,14 @@ def test_stats_time_each_pipeline_phase():
     empty = PtDfa.from_triples(3, 2, [(0, 0, 1)], 0, set())
     keys = [f.name for f in fields(MinimizeStats) if f.name != "phases"]
     for d in (generate(60, 3, 0.5, 30, seed=124), empty):
+        # The empty language runs no refinement, so no initial blocks.
+        unrefined = ["initial_blocks"] if d is empty else []
         for run, phases, unmeasured in (
                 (minimize_with_stats, ["preprocess", "refine",
-                                       "canonicalize"], []),
+                                       "canonicalize"], unrefined),
                 (hopcroft_minimize, ["preprocess", "complete", "refine",
                                      "canonicalize"],
-                 ["small_half_touches"])):
+                 ["initial_blocks", "small_half_touches"])):
             _, stats = run(d)
             assert list(stats.phases) == phases
             assert min(stats.phases.values()) >= 0.0
@@ -419,13 +518,16 @@ def test_worklist_invariant_holds_at_every_round():
 
 
 def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
-    # In the second round, the pending label-1 set starts with the
-    # transition 3 -1-> 2, retired since state 3 is alone in its block;
-    # state 2 has just split off from state 0, the head of the live
-    # member 0 -1-> 0.  The set's pair comes from the live member, and
-    # the invariant check fails with the pair of the first one instead.
-    d = PtDfa.from_triples(4, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 2), (2, 0, 3),
-                                  (2, 1, 0), (3, 1, 2)], 0, {0, 1, 2})
+    # Every state has the one label, so the refinement starts from the
+    # blocks {0, 2} of final and {1, 3} of non-final states.  The first
+    # round splits {1, 3} into two one-state blocks, which retires
+    # 3 -0-> 1.  In the second round, the pending set of the transitions
+    # into {1, 3} starts with that retired one, whose head 1 has just
+    # split off from state 3, the head of the live members 0 -0-> 3 and
+    # 2 -0-> 3.  The set's pair comes from a live member, and the
+    # invariant check fails with the pair of the first one instead.
+    d = PtDfa.from_triples(4, 1, [(0, 0, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)],
+                           0, {0, 2})
     rounds = []
 
     def hook(ref):
@@ -440,7 +542,7 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
 
     final_blocks(d, loop_hook=hook)
     assert [ok for _, ok in rounds] == [True, True]
-    assert [wrong for wrong, _ in rounds] == [set(), {(2, 1)}]
+    assert [wrong for wrong, _ in rounds] == [set(), {(2, 0)}]
 
 
 def test_minimize_allocates_nothing_per_label():
@@ -464,9 +566,8 @@ TRACED_LAYERS = ("relevant_states", "restrict", "bucket_by",
                  "Refinement.run")
 
 
-@pytest.mark.parametrize("keeps_all", [True, False])
-def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
-                                                       keeps_all):
+def _count_traced_layer_calls(monkeypatch) -> dict:
+    """Wrap each name of ``TRACED_LAYERS`` to count its calls."""
     calls = dict.fromkeys(TRACED_LAYERS, 0)
     for path in TRACED_LAYERS:
         *outer, name = path.split(".")
@@ -480,10 +581,26 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
-    triples = [(0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 1, 2)]
+    return calls
+
+
+# Its three states have distinct (finality, out-label set) keys, so the
+# refinement starts from three one-state blocks.
+_DISTINCT_LABEL_SETS = PtDfa.from_triples(
+    3, 2, [(0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 1, 2)], 0, {2})
+
+
+@pytest.mark.parametrize("keeps_all", [True, False])
+def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
+                                                       keeps_all):
+    calls = _count_traced_layer_calls(monkeypatch)
+    # Two copies of the automaton in a ring, so that two states share
+    # each key and the run builds transition sets and makes rounds.
+    d = _ring(_DISTINCT_LABEL_SETS, 2)
     if not keeps_all:
-        triples.append((1, 1, 3))  # state 3 reaches no final state
-    d = PtDfa.from_triples(4 - keeps_all, 2, triples, 0, {2})
+        # State 6 reaches no final state.
+        d = PtDfa.from_triples(7, 2, d.transitions() + [(1, 1, 6)], 0,
+                               d.finals)
     out = minimize(d)
     assert out == oracle_minimize(d)
     # The in-index of d is built once and shared; the refiner builds its
@@ -492,17 +609,31 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
                      "bucket_by": 1 if keeps_all else 2}
 
 
+def test_traced_layers_without_transition_sets(monkeypatch):
+    # When every initial block is a single state, the refiner is still
+    # built and run once, but it groups no transitions.
+    calls = _count_traced_layer_calls(monkeypatch)
+    d = _DISTINCT_LABEL_SETS
+    _, stats = minimize_with_stats(d)
+    assert stats.initial_blocks == d.n
+    assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
+                     "init_trp_grouping": 0}
+
+
 @pytest.mark.parametrize("case, sorts", [
     ("keeps_all", 1), ("drops_one", 2), ("shuffled", 1)])
 def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
-    # State 3 reaches no final state when the transition 1 -1-> 3 is kept.
-    lines = ["0 0 1", "0 1 2", "1 0 2", "2 0 0"]
+    # State 4 reaches no final state when the transition 1 -1-> 4 is
+    # kept.  The other states share their one label in pairs of equal
+    # finality, so the refiner needs an in-index.
+    lines = ["0 0 1", "1 0 2", "2 0 3", "3 0 0"]
     if case == "drops_one":
-        lines.insert(3, "1 1 3")
+        lines.insert(2, "1 1 4")
     if case == "shuffled":
         lines.reverse()
-    n = 4 if case == "drops_one" else 3
-    text = "\n".join([f"dfa {n} 2 {len(lines)} 1 0"] + lines + ["2", ""])
+    n = 5 if case == "drops_one" else 4
+    text = "\n".join([f"dfa {n} 2 {len(lines)} 2 0"] + lines
+                     + ["1", "3", ""])
     expected = serialize(oracle_minimize(parse(text)))
     d = parse(text)
     calls = {"bucket_by": 0, "order checks": 0}

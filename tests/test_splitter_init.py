@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from ptdfa import AutomatonError, init_trp_grouping
-from ptdfa.splitter_init import _CHUNK
 
 from helpers import check_partition, reference_grouping
 
@@ -42,7 +41,7 @@ def _layout(rp):
 
 def test_grouping_matches_reference_fill():
     rng = random.Random(42)
-    m = 3 * _CHUNK + 5  # crosses three chunk boundaries
+    m = 3 * 4096 + 5
     cases = [[7] * m, [rng.randrange(2) for _ in range(m)],
              [rng.randrange(300) for _ in range(m)],
              [rng.randrange(10**6) for _ in range(m)],
