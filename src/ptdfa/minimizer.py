@@ -17,7 +17,8 @@ classes of the states by finality and by their set of defined labels,
 read off the out-index in C-level passes
 (:func:`~ptdfa.splitter_init.init_block_grouping`), and the transition
 sets as the classes of the transitions by (label, head block), all
-pending (:func:`~ptdfa.splitter_init.init_trp_grouping`).  Both take
+pending, laid out in one pass over the incoming transitions of each
+block (:func:`~ptdfa.splitter_init.init_trp_grouping`).  Both take
 O(n + m).  This start never separates two states of one language: every
 state of a trimmed automaton accepts some word, so if label a is
 defined at p but not at q, then a followed by a word that p's
@@ -77,6 +78,8 @@ state.
 from array import array
 from collections import deque
 from functools import partial
+from itertools import chain
+from operator import itemgetter, sub
 from time import perf_counter
 
 from .automaton import MinimizeStats, PtDfa, bucket_by, canonicalize
@@ -88,6 +91,25 @@ from .refinable_partition import RefinablePartition
 from .splitter_init import init_block_grouping, init_trp_grouping
 
 __all__ = ["Refinement", "minimize", "minimize_with_stats", "final_blocks"]
+
+
+def _incoming_by_block(brp: RefinablePartition, in_index):
+    """The incoming transitions of each block of ``brp``, one iterable
+    per block, read in C from the in-index: by one ``itemgetter`` call
+    when each state of the block has exactly one, as in a tree, else by
+    chaining the in-index slices of its states."""
+    in_order, in_first = in_index
+    start = in_first.__getitem__
+    stop = in_first[1:].__getitem__
+    for b in range(brp.sets):
+        states = brp.elems[brp.first[b]:brp.end[b]]
+        firsts = list(map(start, states))
+        if len(firsts) > 1 and set(map(sub, map(stop, states),
+                                       firsts)) == {1}:
+            yield itemgetter(*firsts)(in_order)
+        else:
+            yield chain.from_iterable(map(in_order.__getitem__, map(
+                slice, firsts, map(stop, states))))
 
 
 class Refinement:
@@ -126,8 +148,11 @@ class Refinement:
             self.trp = trp = RefinablePartition(0)
             in_index = ((), ())
         else:
-            self.trp = trp = init_trp_grouping(dp.labels, dp.alpha,
-                                               dp.heads, brp.sidx)
+            if in_index is None:
+                in_index = bucket_by(dp.heads, dp.n)
+            self.trp = trp = init_trp_grouping(
+                dp.labels, dp.alpha, _incoming_by_block(brp, in_index))
+        self.in_order, self.in_first = in_index
         # Set index -1 reads one extra slot, shaped like a one-transition
         # set: a retired transition points there, so the singleton-set
         # test of the mark loop skips it.
@@ -136,21 +161,13 @@ class Refinement:
         trp.end.append(1)
         # Enough -1 entries to retire the transitions out of any state:
         # they have distinct labels, so each lies in a set of its own.
-        self.retired = retired = array("i", [-1]) * trp.sets
+        self.retired = array("i", [-1]) * trp.sets
         if trp.sets:
             # A block of one state never splits: the transitions out of
             # a state that starts alone in its block are retired at once.
-            out_first = dp.out_first
-            bfirst = brp.first
-            for b, e in enumerate(brp.end[:brp.sets]):
-                if e - bfirst[b] == 1:
-                    q = brp.elems[e - 1]
-                    lo = out_first[q]
-                    hi = out_first[q + 1]
-                    trp.sidx[lo:hi] = retired[:hi - lo]
-        if in_index is None:
-            in_index = bucket_by(dp.heads, dp.n)
-        self.in_order, self.in_first = in_index
+            for f, e in zip(brp.first[:brp.sets], brp.end[:brp.sets]):
+                if e - f == 1:
+                    self._retire_out(brp.elems[f])
         # Initial transition sets are exactly 0..sets-1, all pending.
         self.unready.extend(range(trp.sets))
 
@@ -204,19 +221,10 @@ class Refinement:
         f2 = bfirst[b2]
         size = bend[b] - f
         size2 = bend[b2] - f2
-        if size == 1 or size2 == 1:
-            out_first = self.dp.out_first
-            retired = self.retired
-            if size == 1:
-                q = brp.elems[f]
-                lo = out_first[q]
-                hi = out_first[q + 1]
-                tsidx[lo:hi] = retired[:hi - lo]
-            if size2 == 1:
-                q = brp.elems[f2]
-                lo = out_first[q]
-                hi = out_first[q + 1]
-                tsidx[lo:hi] = retired[:hi - lo]
+        if size == 1:
+            self._retire_out(brp.elems[f])
+        if size2 == 1:
+            self._retire_out(brp.elems[f2])
         if size < size2:
             b2 = b
         in_order = self.in_order
@@ -280,6 +288,12 @@ class Refinement:
         trp.split_calls += trivial + new - trp.sets
         trp.split_steps += steps
         trp.sets = new
+
+    def _retire_out(self, q: int) -> None:
+        """Retire the transitions out of ``q``, alone in its block."""
+        lo = self.dp.out_first[q]
+        hi = self.dp.out_first[q + 1]
+        self.trp.sidx[lo:hi] = self.retired[:hi - lo]
 
     def run(self, hook=None) -> None:
         """Refine the initial partition until the worklist drains.

@@ -210,28 +210,33 @@ def reference_canonicalize(d):
                               {new_of[q] for q in d.finals})
 
 
-def reference_grouping(labels):
+def reference_grouping(labels, groups=None):
     """Reference for ``init_trp_grouping``, one fill step per
-    transition: sets in order of first label appearance, each filled
-    from its end down, so its transitions come out descending."""
-    counts = Counter(labels)  # keys in order of first appearance
-    index = {}
+    transition: one set per (label, group) pair in order of first
+    appearance, each listing its transitions in group order, and the
+    sets of each label back to back in order of first label appearance.
+    ``groups`` defaults to one group of all transitions, ascending."""
+    if groups is None:
+        groups = [range(len(labels))]
+    pairs = {}
+    for g, group in enumerate(groups):
+        for t in group:
+            pairs.setdefault((labels[t], g), []).append(t)
+    sets_of_label = {}
+    for i, ((a, _), members) in enumerate(pairs.items()):
+        sets_of_label.setdefault(a, []).append((i, members))
     rp = as_int32(RefinablePartition(len(labels)))
-    total = 0
-    for i, (a, c) in enumerate(counts.items()):
-        index[a] = i
-        rp.first[i] = total
-        total += c
-        rp.end[i] = total
-        rp.mid[i] = total
-    for t, a in enumerate(labels):
-        i = index[a]
-        pos = rp.mid[i] - 1
-        rp.mid[i] = pos
-        rp.elems[pos] = t
-        rp.loc[t] = pos
-        rp.sidx[t] = i
-    rp.sets = len(counts)
+    pos = 0
+    for a in Counter(labels):  # keys in order of first appearance
+        for i, members in sets_of_label[a]:
+            rp.first[i] = rp.mid[i] = pos
+            for t in members:
+                rp.elems[pos] = t
+                rp.loc[t] = pos
+                rp.sidx[t] = i
+                pos += 1
+            rp.end[i] = pos
+    rp.sets = len(pairs)
     return rp
 
 
@@ -251,9 +256,10 @@ class ReferenceRefinement(Refinement):
     block), and counts in ``block_splits`` only the splits that it makes
     itself.  It keeps the refiner's two rules in its own way: a split
     that leaves every block a single state empties the worklist, and a
-    half of one state has its outgoing transitions retired one by one; a
-    retired transition is never marked again, and each touch of one
-    counts as a trivial split call of the transition partition."""
+    block of one state, from the start or from a split, has its outgoing
+    transitions retired one by one; a retired transition is never marked
+    again, and each touch of one counts as a trivial split call of the
+    transition partition."""
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)
@@ -284,12 +290,9 @@ class ReferenceRefinement(Refinement):
             return
         if b2 is None:
             return
-        out_first = self.dp.out_first
         for half in (b, b2):
             if brp.size(half) == 1:
-                q = brp.elems[brp.first[half]]
-                for t in range(out_first[q], out_first[q + 1]):
-                    trp.sidx[t] = RETIRED
+                self._retire_out(brp.elems[brp.first[half]])
         if brp.size(b) < brp.size(b2):
             b2 = b
         touched = self.touched_spls
@@ -333,6 +336,11 @@ class ReferenceRefinement(Refinement):
             p2 = trp_split(touched_remove())
             if p2 is not None:
                 unready_add(p2)
+
+    def _retire_out(self, q: int) -> None:
+        out_first = self.dp.out_first
+        for t in range(out_first[q], out_first[q + 1]):
+            self.trp.sidx[t] = RETIRED
 
     def run(self, hook=None) -> None:
         """Refine the initial partition, which it inherits, until the

@@ -129,7 +129,7 @@ def test_no_set_is_carved_for_a_transition_out_of_a_one_state_block():
     assert ref.trp.sets == 4
     # The transitions out of states 3, 4 and 5, alone in their blocks
     # from the start, are retired before the run.
-    assert list(ref.trp.sidx) == [RETIRED, RETIRED, 2, 1, 2, 1, RETIRED,
+    assert list(ref.trp.sidx) == [RETIRED, RETIRED, 3, 0, 3, 0, RETIRED,
                                   RETIRED, RETIRED]
     assert list(ref.brp.sidx) == [0, 4, 4, 1, 2, 3]
     _, stats = minimize_with_stats(d)
@@ -519,14 +519,16 @@ def test_worklist_invariant_holds_at_every_round():
 
 def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
     # Every state has the one label, so the refinement starts from the
-    # blocks {0, 2} of final and {1, 3} of non-final states.  The first
-    # round splits {1, 3} into two one-state blocks, which retires
-    # 3 -0-> 1.  In the second round, the pending set of the transitions
-    # into {1, 3} starts with that retired one, whose head 1 has just
-    # split off from state 3, the head of the live members 0 -0-> 3 and
-    # 2 -0-> 3.  The set's pair comes from a live member, and the
-    # invariant check fails with the pair of the first one instead.
-    d = PtDfa.from_triples(4, 1, [(0, 0, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)],
+    # blocks {0, 2} of final and {1, 3} of non-final states, and from
+    # the transition sets {3 -0-> 2} and [1 -0-> 3, 0 -0-> 1, 2 -0-> 1],
+    # laid out in the order of the in-transitions of states 3 and 1.
+    # The first FIFO round pops {3 -0-> 2} and splits {1, 3} into two
+    # one-state blocks, which retires 3 -0-> 2 and 1 -0-> 3.  In the
+    # second round, the pending set starts with 1 -0-> 3, whose head 3
+    # has just split off from state 1, the head of the live members
+    # 0 -0-> 1 and 2 -0-> 1.  The set's pair comes from a live member,
+    # not from the first one.
+    d = PtDfa.from_triples(4, 1, [(0, 0, 1), (1, 0, 3), (2, 0, 1), (3, 0, 2)],
                            0, {0, 2})
     rounds = []
 
@@ -540,7 +542,7 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
         rounds.append((first_pairs - ref.unready_pairs(),
                        worklist_invariant_ok(ref)))
 
-    final_blocks(d, loop_hook=hook)
+    final_blocks(d, worklist="fifo", loop_hook=hook)
     assert [ok for _, ok in rounds] == [True, True]
     assert [wrong for wrong, _ in rounds] == [set(), {(2, 0)}]
 
