@@ -503,8 +503,8 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     transitions (members of one block have the same labels defined, with
     heads in the same block), as the blocks of a minimizer's final
     partition are; ``blocks`` that do not map the states onto 0..k-1,
-    or whose distinct indices are not all ints (a float or a bool is
-    refused, never coerced), raise :class:`AutomatonError`.  Omitting
+    or whose indices are not all ints (a float or a bool is refused,
+    never coerced), raise :class:`AutomatonError`.  Omitting
     ``blocks`` only renumbers ``d``.  Requires every state (block) to be
     reachable; raises :class:`UnreachableStateError` otherwise.
 
@@ -522,12 +522,13 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     block = None
     if blocks is not None:
         block_of = blocks
-        rep = dict(zip(blocks, range(d.n)))  # the last member of each block
-        # The k distinct indices, typed in one C-level pass over them, are
-        # 0..k-1 exactly when they are ints that lie in it.
-        if not set(map(type, rep)) <= {int}:
-            bad = next(b for b in rep if type(b) is not int)
+        # Every index is typed, in one C-level pass: a non-int equal to
+        # an int index (True, 1.0) must not be read as that index.
+        if not set(map(type, blocks)) <= {int}:
+            bad = next(b for b in blocks if type(b) is not int)
             raise AutomatonError(f"block index {bad!r} is not an int")
+        rep = dict(zip(blocks, range(d.n)))  # the last member of each block
+        # The k distinct ints are 0..k-1 exactly when they lie in it.
         if len(blocks) != d.n or min(rep) < 0 or max(rep) >= len(rep):
             raise AutomatonError(f"blocks must map {d.n} states to 0..k-1")
         block = blocks.__getitem__

@@ -3,21 +3,14 @@
 The partial transition function is completed by adding one absorbing
 sink state that receives every missing transition and all of its own.
 Classic (block, symbol) worklist refinement then runs over the full
-table.  This is only the completion and the refinement: the minimizer
-pipeline of :mod:`ptdfa.minimizer` does the preprocessing, times the
-completion as its own ``complete`` phase, and builds the canonical
-quotient from the final blocks, the sink's block left out.
+table.  The minimizer pipeline of :mod:`ptdfa.minimizer` does the
+preprocessing, times the completion as its own ``complete`` phase, and
+builds the canonical quotient from the final blocks, the sink's block
+left out.
 
 Time is O(alpha n log n) and memory Theta(alpha n) for the dense table,
-its reverse index and the worklist of pending (block, label) pairs, the
-deliberate contrast with the sparse O(m) path.  The Theta(alpha n)
-memory stays on purpose, and so does the Theta(alpha) loop over the
-labels at every split.  Only the constants are kept lean:
-:func:`sink_complete` walks the m defined transitions and the alpha
-labels in Python, and each of its Theta(alpha n) passes (filling the
-rows, counting the sink's entries, the prefix sum of the counts, the
-sink's reverse entries) runs in C; the refinement holds each pending
-pair in one byte, plus one entry per split that names its two halves.
+its reverse index and the pending (block, label) pairs: the deliberate
+contrast with the sparse O(m) path.
 """
 
 from array import array
@@ -52,27 +45,11 @@ class CompletedDfa:
 def sink_complete(d: PtDfa) -> CompletedDfa:
     """Complete the transition function with an absorbing sink state.
 
-    The table (a list of lists) and its reverse index stay
-    Theta(alpha n) in memory on purpose: that is the baseline's regime.
-    Only the time to build them is kept low.  Python walks the m defined
-    transitions (twice) and the alpha labels; each pass over the
-    (n + 1) alpha cells runs in C:
-
-    - the rows start as ``[sink] * alpha``;
-    - a label-major mask of the missing transitions gives the sink's
-      counts (``bytearray.count``) and its predecessors, ascending
-      (``compress``);
-    - the offsets are one ``accumulate`` of the counts.
-
-    The accumulated offsets are built as the placement cursor, then
-    copied into the counts' buffer.  The cursor places the defined
-    transitions, which come in (tail, label) order, so each predecessor
-    set fills in ascending order, as the sink's do.  The cursor and each
-    label's sink predecessors are ``array("I")``, which C fills faster
-    than ``"i"``, with the same bytes, since no entry reaches 2**31
-    (the table would need 16 GiB first).  No full-size buffer is freed
-    before the cursor is spent, and nothing of size m is built: either
-    would raise the process's peak memory.
+    The sink is state n.  The table (a list of lists) and its reverse
+    index, each predecessor set in ascending order, are Theta(alpha n)
+    in memory, the baseline's regime.  Python walks the m defined
+    transitions twice and the alpha labels once; each Theta(alpha n)
+    pass runs in C, and nothing of size m is built.
     """
     n, alpha = d.n, d.alpha
     sink = n
@@ -114,22 +91,18 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
 def _refine_total(c: CompletedDfa):
     """Worklist refinement of the completed automaton.
 
-    Returns (blocks, block_of, splits, touches).  A pending (block,
-    symbol) pair is processed against the block's current contents; when
-    a block splits, pairs pending on it stay pending for both halves,
-    and otherwise only the smaller half is queued.
+    Returns (blocks, block_of, splits, touches), ``touches`` counting
+    the reverse-index entries scanned.  A pending (block, symbol) pair
+    is processed against the block's current contents; when a block
+    splits, pairs pending on it stay pending for both halves, and
+    otherwise only the smaller half is queued.
 
-    Every split pushes exactly alpha pairs, one per label 0..alpha-1 in
-    order, each for one of the split's two halves.  So the pending pairs
-    are one byte each in ``work``, and ``chunks`` holds one entry
-    ``(start, first, second)`` per split that still has pairs pending: a
-    pair's label is its offset from its chunk's ``start``, and its byte
-    is 1 for the ``first`` block, 0 for the ``second``.  The initial fill
-    is one chunk of alpha pairs for the smaller of the two blocks.  A
-    split still runs the Theta(alpha) loop over the labels.  A popped
-    pair whose states have no predecessors under its symbol builds
-    nothing.  The pairs still pending when a split leaves every block a
-    single state are dropped.
+    ``flags[b][a]`` is 1 while the pair (b, a) is pending.  Every split
+    pushes alpha pairs, one per label in order, as one byte each in
+    ``work``, and ``chunks`` holds one ``(start, first, second)`` entry
+    per split with pairs still pending: a pair's label is its offset
+    from ``start``, and its byte is 1 for ``first``, 0 for ``second``.
+    A split is Theta(alpha) work done as two alpha-byte copies.
     """
     alpha = c.alpha
     fin = set(c.finals)
@@ -138,11 +111,11 @@ def _refine_total(c: CompletedDfa):
     block_of = [1] * c.n
     for q in fin:
         block_of[q] = 0
+    ones = b"\x01" * alpha
     flags = [bytearray(alpha), bytearray(alpha)]
     small = 0 if len(fin) <= len(nonfin) else 1
-    flags[small][:] = b"\x01" * alpha
-    work = bytearray(b"\x01") * alpha
-    push = work.append
+    flags[small][:] = ones
+    work = bytearray(ones)
     # The top chunk, unpacked; ``chunks`` holds it too.
     start, first, second = 0, small, small
     chunks = [(start, first, second)]
@@ -185,22 +158,19 @@ def _refine_total(c: CompletedDfa):
             blocks.append(part)
             for q in part:
                 block_of[q] = nz
-            fz = bytearray(alpha)
-            flags.append(fz)
-            fy = flags[yb]
-            part_smaller = len(part) <= len(y)
             start, first, second = len(work), nz, yb
             chunks.append((start, first, second))
-            for sym in range(alpha):
-                if fy[sym]:
-                    fz[sym] = 1
-                    push(1)
-                elif part_smaller:
-                    fz[sym] = 1
-                    push(1)
-                else:
-                    fy[sym] = 1
-                    push(0)
+            # The chunk is the new block's flags: 1 on every label when
+            # it is the smaller half, else 1 where Y is pending and 0
+            # (Y, now pending on every label) elsewhere.
+            if len(part) <= len(y):
+                fz = bytearray(ones)
+            else:
+                fy = flags[yb]
+                fz = bytearray(fy)
+                fy[:] = ones
+            flags.append(fz)
+            work += fz
             if len(blocks) == c.n:
                 # Every block is a single state: none can split again.
                 work.clear()

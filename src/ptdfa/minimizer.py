@@ -277,11 +277,8 @@ class Refinement:
             tmid[new] = f
             tend[new] = mm
             tfirst[p] = mm
-            if mm - f == 1:
-                tsidx[telems[f]] = new
-            else:
-                for t in telems[f:mm]:
-                    tsidx[t] = new
+            for t in telems[f:mm]:
+                tsidx[t] = new
             steps += mm - f
             unready_add(new)
             new += 1

@@ -556,7 +556,9 @@ def test_canonicalize_refuses_block_indices_that_are_not_ints():
     # as the int it equals.
     for blocks, bad in (([0.0, 1.0, 1.0], "0.0"), ([False, True, True],
                                                    "False"),
-                        ([0, 1.0, 1], "1.0"), (["a", "b", "b"], "'a'")):
+                        ([0, 1.0, 1], "1.0"), (["a", "b", "b"], "'a'"),
+                        # Equal to an index listed before it.
+                        ([0, 1, True], "True"), ([0, 1, 1.0], "1.0")):
         with pytest.raises(AutomatonError,
                            match=f"^block index {bad} is not an int$"):
             canonicalize(d, blocks)

@@ -3,11 +3,15 @@
 ``tests/data/parity.json`` holds, for each input of the seed-7 pool of
 every benchmark workload, the sha256 of the input text and, for the
 LIFO and the FIFO worklist, the sha256 of the canonical output, the
-run's counters and the final state of both partitions' counters.  None
-of them depends on a clock, so a change meant to keep the output and
-the work of a run must keep every value.  The inputs are built by the
-benchmark's own constructors in ``perfbench/workloads.py``, loaded by
-path and left as they are.
+run's counters and the final state of both partitions' counters.  Under
+``hopcroft`` it holds the same for the completed-table baseline, run on
+the input the benchmark gives it (``Input.hopcroft_text``, the compact
+relabeling on ``lexicon_unicode``): the input's and the output's
+sha256, ``splits``, the reverse-index touches (``splitter_touches``),
+``n_core`` and ``m_core``.  None of them depends on a clock, so a
+change meant to keep the output and the work of a run must keep every
+value.  The inputs are built by the benchmark's own constructors in
+``perfbench/workloads.py``, loaded by path and left as they are.
 
 Regenerate the fixture, after a change that is meant to move it, with
 
@@ -22,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from ptdfa import minimize_with_stats, minimizer, parse, serialize
+from ptdfa import (hopcroft_minimize, minimize_with_stats, minimizer, parse,
+                   serialize)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "parity.json"
@@ -31,12 +36,12 @@ SEED = 7
 
 
 def _pool(workload: str) -> list:
-    """The input texts of ``workload``'s pool for :data:`SEED`."""
+    """The inputs of ``workload``'s pool for :data:`SEED`."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [entry.text for entry in module.make_pool(workload, SEED)]
+    return module.make_pool(workload, SEED)
 
 
 def _sha256(text: str) -> str:
@@ -81,11 +86,24 @@ def _run(text: str, worklist: str) -> dict:
     }
 
 
+def _run_hopcroft(text: str) -> dict:
+    out, stats = hopcroft_minimize(parse(text))
+    return {
+        "input_sha256": _sha256(text),
+        "output_sha256": _sha256(serialize(out)),
+        "splits": stats.splits,
+        "splitter_touches": stats.splitter_touches,
+        "n_core": stats.n_core,
+        "m_core": stats.m_core,
+    }
+
+
 def _entries(workload: str) -> dict:
-    return {f"{workload}/{i}": {"input_sha256": _sha256(text),
-                                "lifo": _run(text, "lifo"),
-                                "fifo": _run(text, "fifo")}
-            for i, text in enumerate(_pool(workload))}
+    return {f"{workload}/{i}": {"input_sha256": _sha256(inp.text),
+                                "lifo": _run(inp.text, "lifo"),
+                                "fifo": _run(inp.text, "fifo"),
+                                "hopcroft": _run_hopcroft(inp.hopcroft_text)}
+            for i, inp in enumerate(_pool(workload))}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
