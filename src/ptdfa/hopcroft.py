@@ -61,10 +61,15 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
     # offsets[k + 1] counts the predecessors under key k, then becomes
     # the start of key k + 1; key q * alpha + a is state q, label a.
     offsets = array("i", bytes(4 * (cells + 1)))
+    # One int object per state, shared by the table's cells, where the
+    # heads would make one per transition; the list is dropped before
+    # the cursor is made, so the two are never held at once.
+    states = list(range(total))
     for t, a, h in zip(d.tails, d.labels, d.heads):
-        table[t][a] = h
+        table[t][a] = states[h]
         missing[a * total + t] = 0
         offsets[h * alpha + a + 1] += 1
+    del states
     base = sink * alpha
     for a in range(alpha):
         offsets[base + a + 1] = missing.count(1, a * total, (a + 1) * total)

@@ -16,37 +16,47 @@ out which labels each state has defined.  Here the blocks start as the
 classes of the states by finality and by their set of defined labels,
 read off the out-index in C-level passes
 (:func:`~ptdfa.splitter_init.init_block_grouping`), and the transition
-sets as the classes of the transitions by (label, head block), all
-pending, laid out in one pass over the incoming transitions of each
-block (:func:`~ptdfa.splitter_init.init_trp_grouping`).  Both take
-O(n + m).  This start never separates two states of one language: every
-state of a trimmed automaton accepts some word, so if label a is
-defined at p but not at q, then a followed by a word that p's
-a-successor accepts is accepted from p and not from q.  The coarsest
-stable refinement of the start is therefore still language
-equivalence, and the output is the same as from {F, Q - F}.  The scan
-bounds keep holding: each initial transition set is popped at most
-once, as each label's set was, and every later split still rescans its
-smaller half.  When the start already has n blocks, as it has on a
-random sparse automaton, no transition set is built and the run makes
-no round.
+sets as the classes of the transitions by (label, head block), laid out
+in one pass over the incoming transitions of each block
+(:func:`~ptdfa.splitter_init.init_trp_grouping`).  Both take O(n + m).
+This start never separates two states of one language: every state of
+a trimmed automaton accepts some word, so if label a is defined at p
+but not at q, then a followed by a word that p's a-successor accepts is
+accepted from p and not from q.  The coarsest stable refinement of the
+start is therefore still language equivalence, and the output is the
+same as from {F, Q - F}.
+
+Every initial transition set is pending except the largest of each
+label, the one with the most transitions, the lowest index on a tie.
+That is Hopcroft's rule (Hopcroft 1971; Knuutila, TCS 250, 2001): when
+the partition is stable with respect to a splitter and the splitter
+falls into k pieces, any k - 1 of them do the work of all k.  The start
+gives all states of a block one label set, so every block is stable with
+respect to all the a-transitions, and a label's initial sets are the
+pieces of that splitter.  So the worklist invariant holds from the first
+round, the run ends in the same blocks, and the scan bounds keep
+holding: a transition is popped in an initial set at most once, and
+after that only in a set carved out by the rescan of a smaller half.  A
+label whose transitions all enter one block queues nothing.  When the
+start already has n blocks, as it has on a random sparse automaton, no
+transition set is built and the run makes no round.
 
 Both partitions are :class:`RefinablePartition` arrays that the loops
 read and write directly, and the worklist is a plain ``array('i')``
-(or a ``deque`` for FIFO order).  The two inner loops avoid a call per
-element, and a worklist round calls no Python function unless a block
-splits (or a hook is given).
-A state in a singleton block, or a transition in a singleton transition
-set, is never marked: its split could only be trivial.  A round whose
-splitter is one transition marks its tail alone and calls
-``split_block``, with no touched list: that splits the tail's block
-unless the tail is alone in it, when ``brp.split`` gives the trivial
-split.  A touched block or set that ended up marked whole has its
-marks cleared in place; only a real split calls ``split_block``
-(blocks) or is carried out inline (transition sets).  The counters
-still count every skipped or cleared trivial split as a split call of
-its partition, so ``split_calls`` reads the same as if each touched
-set had been passed to ``RefinablePartition.split``.
+(or a ``deque`` for FIFO order).  The inner loops avoid a call per
+element, and a worklist round calls no Python function unless a hook
+is given.  A state in a singleton block, or a transition in a
+singleton transition set, is never marked: its split could only be
+trivial.  A round whose splitter is one transition marks its tail
+alone, with no touched list; its block splits unless the tail is alone
+in it.  Both kinds of round end in one split site in ``run``: a touched
+block marked whole has its marks cleared in place, and any other has
+its marked prefix made the next block, as ``RefinablePartition.split``
+would, before the smaller half is rescanned and the transition sets it
+reaches are carved inline.  The counters still count every skipped or
+cleared trivial split as a split call of its partition, so
+``split_calls`` reads the same as if each touched set had been passed
+to ``RefinablePartition.split``.
 
 Two rules drop work that can split nothing.  A block of one state never
 splits again, so when the start or a split leaves a block of one state,
@@ -57,11 +67,11 @@ set and never carves them into a fresh set.  A retired transition stays
 in its set, which keeps the (block, label) pair of its live members;
 when that set is popped, the retired tail is alone in its block and
 skipped.  And a split that leaves n blocks makes the partition final:
-``split_block`` returns before its rescan and empties the worklist,
-which ends the run.  Neither rule changes a block, so the output stays
-the same, and both scan bounds keep holding: every split still rescans
-its smaller half, and a retired transition is touched at most once
-more, when the set it was left in had already been queued.
+the split site empties the worklist before its rescan, which ends the
+run.  Neither rule changes a block, so the output stays the same, and
+both scan bounds keep holding: every split still rescans its smaller
+half, and a retired transition is touched at most once more, when the
+set it was left in had already been queued.
 
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
@@ -78,7 +88,7 @@ state.
 from array import array
 from collections import deque
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, count
 from operator import itemgetter, sub
 from time import perf_counter
 
@@ -127,7 +137,12 @@ class Refinement:
     ``unready``, the worklist of pending transition sets, is a plain
     container that new sets are appended to: an ``array('i')`` popped
     from the end for "lifo", a ``deque`` popped from the front for
-    "fifo".  It is nonempty exactly when work is pending.  The deque
+    "fifo".  It is nonempty exactly when work is pending.  It starts
+    with every initial set in index order but the largest of each
+    label, the one with the most transitions (the lowest index on a
+    tie): each initial block is stable with respect to all of a label's
+    transitions, so by Hopcroft's rule any one of the label's sets may
+    be left off (see the module docstring).  The deque
     holds int objects, not four-byte entries, so "fifo" peaks higher
     than "lifo"; it stays, as the reference order that criterion 8
     compares the default against.
@@ -153,6 +168,19 @@ class Refinement:
             self.trp = trp = init_trp_grouping(
                 dp.labels, dp.alpha, _incoming_by_block(brp, in_index))
         self.in_order, self.in_first = in_index
+        sets = trp.sets
+        firsts = trp.first[:sets]
+        # Each label's largest initial set, the lowest index on a tie,
+        # stays off the worklist; every other one is pending.
+        largest = {}
+        for p, a, size in zip(count(), map(dp.labels.__getitem__, map(
+                trp.elems.__getitem__, firsts)), map(sub, trp.end, firsts)):
+            if size > largest.get(a, (0,))[0]:
+                largest[a] = size, p
+        pending = bytearray(b"\x01") * sets
+        for _, p in largest.values():
+            pending[p] = 0
+        self.unready.extend(compress(range(sets), pending))
         # Set index -1 reads one extra slot, shaped like a one-transition
         # set: a retired transition points there, so the singleton-set
         # test of the mark loop skips it.
@@ -161,15 +189,15 @@ class Refinement:
         trp.end.append(1)
         # Enough -1 entries to retire the transitions out of any state:
         # they have distinct labels, so each lies in a set of its own.
-        self.retired = array("i", [-1]) * trp.sets
-        if trp.sets:
+        self.retired = retired = array("i", [-1]) * sets
+        if sets:
             # A block of one state never splits: the transitions out of
             # a state that starts alone in its block are retired at once.
+            out_first = dp.out_first
             for f, e in zip(brp.first[:brp.sets], brp.end[:brp.sets]):
                 if e - f == 1:
-                    self._retire_out(brp.elems[f])
-        # Initial transition sets are exactly 0..sets-1, all pending.
-        self.unready.extend(range(trp.sets))
+                    lo, hi = out_first[brp.elems[f]:brp.elems[f] + 2]
+                    trp.sidx[lo:hi] = retired[:hi - lo]
 
     def unready_pairs(self) -> set:
         """Live worklist contents as (target block, label) pairs, read
@@ -187,137 +215,44 @@ class Refinement:
                     break
         return pairs
 
-    def split_block(self, b: int) -> None:
-        """Split block ``b`` along its marks and requeue affected
-        transition sets.
-
-        A trivial split (nothing or everything marked) only clears the
-        marks.  Otherwise the half with fewer states is rescanned, ties
-        going to the marked (new) half: its incoming transitions move
-        into fresh transition sets, and every fresh set joins the
-        worklist.  The transition sets are split here, not through
-        ``trp.split``; a singleton set is never marked, and it and a
-        set marked whole are counted as trivial ``trp`` split calls, as
-        is a retired transition.  A half of one state has the
-        transitions out of it retired first.  A split that leaves every
-        block a single state empties the worklist instead of rescanning.
-        """
-        brp = self.brp
-        b2 = brp.split(b)
-        if brp.sets == self.dp.n:
-            # Every block is a single state, so none can split again:
-            # the run ends with nothing pending.
-            self.unready *= 0  # empties the array or the deque in place
-            return
-        if b2 is None:
-            return
-        bfirst = brp.first
-        bend = brp.end
-        trp = self.trp
-        tsidx = trp.sidx
-        # A half of one state never splits again: retire the transitions
-        # out of it, which are never marked from now on.
-        f = bfirst[b]
-        f2 = bfirst[b2]
-        size = bend[b] - f
-        size2 = bend[b2] - f2
-        if size == 1:
-            self._retire_out(brp.elems[f])
-        if size2 == 1:
-            self._retire_out(brp.elems[f2])
-        if size < size2:
-            b2 = b
-        in_order = self.in_order
-        in_first = self.in_first
-        telems = trp.elems
-        tloc = trp.loc
-        tfirst = trp.first
-        tmid = trp.mid
-        tend = trp.end
-        touched = []
-        touched_add = touched.append
-        trivial = 0
-        touches = 0
-        for q in brp.elems[bfirst[b2]:bend[b2]]:
-            f = in_first[q]
-            e = in_first[q + 1]
-            touches += e - f
-            for t in in_order[f:e]:
-                p = tsidx[t]
-                mm = tmid[p]
-                if mm == tfirst[p]:
-                    if tend[p] == mm + 1:
-                        trivial += 1
-                        continue
-                    touched_add(p)
-                # Mark t inside its transition set; it is unmarked,
-                # since a rescan reaches each transition once.
-                lt = tloc[t]
-                other = telems[mm]
-                telems[lt] = other
-                tloc[other] = lt
-                telems[mm] = t
-                tloc[t] = mm
-                tmid[p] = mm + 1
-        self.small_half_touches += touches
-        # Split the touched sets in the reverse order of their first
-        # touch: the marked prefix of a partially marked set becomes
-        # the next fresh set and joins the worklist.
-        unready_add = self.unready.append
-        new = trp.sets
-        steps = 0
-        for p in reversed(touched):
-            f = tfirst[p]
-            mm = tmid[p]
-            if mm == tend[p]:
-                tmid[p] = f
-                trivial += 1
-                continue
-            tfirst[new] = f
-            tmid[new] = f
-            tend[new] = mm
-            tfirst[p] = mm
-            for t in telems[f:mm]:
-                tsidx[t] = new
-            steps += mm - f
-            unready_add(new)
-            new += 1
-        trp.split_calls += trivial + new - trp.sets
-        trp.split_steps += steps
-        trp.sets = new
-
-    def _retire_out(self, q: int) -> None:
-        """Retire the transitions out of ``q``, alone in its block."""
-        lo = self.dp.out_first[q]
-        hi = self.dp.out_first[q + 1]
-        self.trp.sidx[lo:hi] = self.retired[:hi - lo]
-
     def run(self, hook=None) -> None:
         """Refine the initial partition until the worklist drains.
         ``hook(self)``, if given, fires at the top of every worklist
         round."""
         dp = self.dp
-        brp = self.brp
-        trp = self.trp
-        telems = trp.elems
-        tfirst = trp.first
-        tend = trp.end
+        n = dp.n
         tails = dp.tails
         tail_of = tails.__getitem__
+        out_first = dp.out_first
+        in_order = self.in_order
+        in_first = self.in_first
+        retired = self.retired
+        brp = self.brp
         belems = brp.elems
         bloc = brp.loc
         bsidx = brp.sidx
         bfirst = brp.first
         bmid = brp.mid
         bend = brp.end
+        trp = self.trp
+        telems = trp.elems
+        tloc = trp.loc
+        tsidx = trp.sidx
+        tfirst = trp.first
+        tmid = trp.mid
+        tend = trp.end
         pending = self.unready
         take = (pending.popleft if isinstance(pending, deque)
                 else pending.pop)
-        split_block = self.split_block
+        queue = pending.append
+        blocks_before = brp.sets
+        sets_before = trp.sets
         touched = []
         touched_add = touched.append
-        trivial = 0
-        touches = 0
+        carved = []
+        carved_add = carved.append
+        trivial = touches = steps = 0
+        set_trivial = rescanned = set_steps = 0
         while pending:
             if hook is not None:
                 hook(self)
@@ -326,7 +261,7 @@ class Refinement:
             e = tend[p]
             touches += e - f
             if e - f == 1:
-                # One transition: mark its tail alone and split its block.
+                # One transition: mark its tail alone.
                 q = tails[telems[f]]
                 b = bsidx[q]
                 mm = bfirst[b]
@@ -337,36 +272,108 @@ class Refinement:
                 belems[mm] = q
                 bloc[q] = mm
                 bmid[b] = mm + 1
-                split_block(b)
-                continue
-            for q in map(tail_of, telems[f:e]):
-                b = bsidx[q]
-                mm = bmid[b]
-                if mm == bfirst[b]:
-                    if bend[b] == mm + 1:
-                        trivial += 1
-                        continue
-                    touched_add(b)
-                # Mark q inside its block; it is unmarked, since the
-                # tails of one transition set are distinct.
-                lq = bloc[q]
-                other = belems[mm]
-                belems[lq] = other
-                bloc[other] = lq
-                belems[mm] = q
-                bloc[q] = mm
-                bmid[b] = mm + 1
-            if touched:
-                # Split in the reverse order of first touch.
-                for b in reversed(touched):
-                    if bmid[b] == bend[b]:
-                        bmid[b] = bfirst[b]
-                        trivial += 1
-                    else:
-                        split_block(b)
+                split = (b,)
+            else:
                 touched.clear()
+                for q in map(tail_of, telems[f:e]):
+                    b = bsidx[q]
+                    mm = bmid[b]
+                    if mm == bfirst[b]:
+                        if bend[b] == mm + 1:
+                            trivial += 1
+                            continue
+                        touched_add(b)
+                    # Mark q inside its block; it is unmarked, since the
+                    # tails of one transition set are distinct.
+                    lq = bloc[q]
+                    other = belems[mm]
+                    belems[lq] = other
+                    bloc[other] = lq
+                    belems[mm] = q
+                    bloc[q] = mm
+                    bmid[b] = mm + 1
+                # Split in the reverse order of first touch.
+                split = reversed(touched)
+            for b in split:
+                f = bfirst[b]
+                mm = bmid[b]
+                if mm == bend[b]:
+                    bmid[b] = f
+                    trivial += 1
+                    continue
+                # The marked prefix [f, mm) becomes the next block; b
+                # keeps the unmarked rest [mm, e), with no marks.
+                e = bend[b]
+                b2 = brp.sets
+                brp.sets = b2 + 1
+                bfirst[b2] = bmid[b2] = f
+                bend[b2] = bfirst[b] = mm
+                for q in belems[f:mm]:
+                    bsidx[q] = b2
+                steps += mm - f
+                if b2 + 1 == n:
+                    # Every block is a single state, so none can split
+                    # again: the run ends with nothing pending.
+                    pending *= 0  # empties the array or the deque in place
+                    break
+                # A half of one state never splits again: retire the
+                # transitions out of it, which are never marked from now on.
+                if mm - f == 1:
+                    lo, hi = out_first[belems[f]:belems[f] + 2]
+                    tsidx[lo:hi] = retired[:hi - lo]
+                if e - mm == 1:
+                    lo, hi = out_first[belems[mm]:belems[mm] + 2]
+                    tsidx[lo:hi] = retired[:hi - lo]
+                if e - mm < mm - f:
+                    f = mm
+                    mm = e
+                for q in belems[f:mm]:
+                    lo = in_first[q]
+                    hi = in_first[q + 1]
+                    rescanned += hi - lo
+                    for t in in_order[lo:hi]:
+                        p = tsidx[t]
+                        k = tmid[p]
+                        if k == tfirst[p]:
+                            if tend[p] == k + 1:
+                                set_trivial += 1
+                                continue
+                            carved_add(p)
+                        # Mark t inside its transition set; it is
+                        # unmarked, since a rescan reaches it once.
+                        lt = tloc[t]
+                        other = telems[k]
+                        telems[lt] = other
+                        tloc[other] = lt
+                        telems[k] = t
+                        tloc[t] = k
+                        tmid[p] = k + 1
+                # Carve the sets in the reverse order of their first
+                # touch: the marked prefix of a set marked in part
+                # becomes the next fresh set and joins the worklist.
+                new = trp.sets
+                for p in reversed(carved):
+                    f = tfirst[p]
+                    k = tmid[p]
+                    if k == tend[p]:
+                        tmid[p] = f
+                        set_trivial += 1
+                        continue
+                    tfirst[new] = tmid[new] = f
+                    tend[new] = tfirst[p] = k
+                    for t in telems[f:k]:
+                        tsidx[t] = new
+                    set_steps += k - f
+                    queue(new)
+                    new += 1
+                trp.sets = new
+                carved.clear()
         self.splitter_touches += touches
-        brp.split_calls += trivial
+        self.small_half_touches += rescanned
+        brp.split_calls += trivial + brp.sets - blocks_before
+        brp.split_steps += steps
+        trp.split_calls += set_trivial + trp.sets - sets_before
+        trp.split_steps += set_steps
 
 
 def _pipeline(d: PtDfa, refine, complete=None):

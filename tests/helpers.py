@@ -245,21 +245,21 @@ RETIRED = -1
 
 
 class ReferenceRefinement(Refinement):
-    """Reference for ``Refinement.run``/``split_block``: every splitter
-    touch marks its state and every touched block and transition set
-    goes through ``split_block``/``trp.split``, trivial splits included.
-    The real splits, the worklist order and every counter must come out
-    the same as the refinement loop's.
+    """Reference for ``Refinement.run``: every splitter touch marks its
+    state and every touched block and transition set goes through
+    ``split_block``/``trp.split``, trivial splits included.  The real
+    splits, the worklist order and every counter must come out the same
+    as the refinement loop's, which splits blocks inline.
 
-    It starts from the refiner's initial partitions, the blocks by
-    finality and out-label set and the transition sets by (label, head
-    block), and counts in ``block_splits`` only the splits that it makes
-    itself.  It keeps the refiner's two rules in its own way: a split
-    that leaves every block a single state empties the worklist, and a
-    block of one state, from the start or from a split, has its outgoing
-    transitions retired one by one; a retired transition is never marked
-    again, and each touch of one counts as a trivial split call of the
-    transition partition."""
+    It starts from the refiner's initial partitions and worklist, the
+    blocks by finality and out-label set and the transition sets by
+    (label, head block), all pending but the largest of each label, and
+    counts in ``block_splits`` only the splits that it makes itself.  It
+    keeps the refiner's two rules in its own way: a split that leaves
+    every block a single state empties the worklist, and a block of one
+    state that a split leaves has its outgoing transitions retired one
+    by one; a retired transition is never marked again, and each touch
+    of one counts as a trivial split call of the transition partition."""
 
     def __init__(self, dp, worklist="lifo"):
         super().__init__(dp, worklist)

@@ -11,7 +11,7 @@ from ptdfa import (
     oracle_minimize, parse, relevant_states, restrict, serialize,
 )
 from ptdfa import automaton, minimizer, preprocess
-from ptdfa.automaton import bucket_by
+from ptdfa.automaton import bucket_by, canonicalize
 from ptdfa.oracle import language_partition
 from ptdfa.workload import ALGORITHMS
 
@@ -31,69 +31,84 @@ def _random_cases(count, max_n=8, max_alpha=4, seed_base=0):
                        seed=seed_base + i)
 
 
-# -- split_block behaviour ----------------------------------------------------
+# -- the split site of Refinement.run -----------------------------------------
 
-def test_split_block_without_marks_changes_nothing():
-    d = PtDfa.from_triples(4, 1, [(0, 0, 2), (1, 0, 3)], 0, {2, 3})
-    ref = Refinement(restrict(d, relevant_states(d)))
-    before = (partition_sets(ref.brp), partition_sets(ref.trp),
-              sorted(ref.unready))
-    ref.split_block(0)
-    assert (partition_sets(ref.brp), partition_sets(ref.trp),
-            sorted(ref.unready)) == before
-
-
-def test_split_block_equal_halves_scans_marked_half():
-    # Every state is final with labels {0, 1}, so the refinement starts
-    # from one block.  Marking {2, 3} splits it into equal halves; the
-    # marked (new) half must be the one scanned, so the transitions
-    # into 2 and 3 are carved out of their label sets while the ones
-    # into 0 and 1 stay put.
-    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 0), (1, 1, 3),
-                                  (2, 0, 1), (2, 1, 0), (3, 0, 3), (3, 1, 2)],
-                           0, {0, 1, 2, 3})
-    dp = restrict(d, relevant_states(d))
-    assert dp.n == 4
+def _from_one_set(dp, t):
+    """A refinement of ``dp`` whose worklist holds only the transition
+    set of transition ``t``, and the (block of each state, set of each
+    transition, worklist, set count) that its hook sees at the top of
+    every round, as ``run`` leaves it."""
     ref = Refinement(dp)
-    assert ref.brp.sets == 1 and ref.trp.sets == 2
-    ref.brp.mark(2)
-    ref.brp.mark(3)
-    pending_before = len(ref.unready)
-    sets_before = ref.trp.sets
-    ref.split_block(0)
-    assert ref.brp.set_of(2) == ref.brp.set_of(3) == 1
-    assert ref.brp.set_of(0) == ref.brp.set_of(1) == 0
-    # transitions 0 and 6 (heads 2 and 3, label 0) and transitions 3
-    # and 7 (heads 3 and 2, label 1) got fresh sets
-    assert ref.trp.set_of(0) == ref.trp.set_of(6) != ref.trp.set_of(2)
-    assert ref.trp.set_of(3) == ref.trp.set_of(7) != ref.trp.set_of(1)
-    assert ref.trp.set_of(0) >= sets_before
-    assert ref.trp.set_of(3) >= sets_before
-    assert len(ref.unready) == pending_before + 2
-
-
-def test_split_block_whole_splitter_keeps_index_and_status():
-    # One initial block, of four final states with labels {a, b}, split
-    # into the equal halves {0, 1} and {2, 3}.  Every a-transition points
-    # into the scanned half {2, 3}, so the a-set is marked whole: it
-    # keeps its index and stays out of the worklist, while the partially
-    # marked b-set spawns a fresh pending set for 1 -b-> 2.
-    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 3), (1, 1, 2),
-                                  (2, 0, 2), (2, 1, 0), (3, 0, 3), (3, 1, 1)],
-                           0, {0, 1, 2, 3})
-    dp = restrict(d, relevant_states(d))
-    assert dp.n == 4
-    ref = Refinement(dp)
-    assert ref.brp.sets == 1
     del ref.unready[:]
-    a_set = ref.trp.set_of(0)
-    ref.brp.mark(2)
-    ref.brp.mark(3)
-    ref.split_block(0)
-    assert ref.trp.set_of(0) == a_set
-    assert ref.trp.no_marks(a_set)
-    assert ref.trp.sets == 3
-    assert list(ref.unready) == [ref.trp.set_of(3)]
+    ref.unready.append(ref.trp.set_of(t))
+    seen = []
+    ref.run(lambda r: seen.append((list(r.brp.sidx), list(r.trp.sidx),
+                                   list(r.unready), r.trp.sets)))
+    return ref, seen
+
+
+def test_splitter_that_marks_its_block_whole_changes_nothing():
+    # The blocks start as {0, 1} and {2, 3}, and each label's
+    # transitions form one set, which the start leaves off the worklist.
+    # Popped, the label-0 set marks the block {0, 1} whole: the marks
+    # are cleared, no block splits and no set is carved.
+    d = PtDfa.from_triples(4, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 3), (1, 1, 0)],
+                           0, {2, 3})
+    dp = restrict(d, relevant_states(d))
+    start = Refinement(dp)
+    assert list(start.unready) == []
+    before = partition_sets(start.brp), partition_sets(start.trp)
+    ref, seen = _from_one_set(dp, 0)
+    assert len(seen) == 1 and list(ref.unready) == []
+    assert (partition_sets(ref.brp), partition_sets(ref.trp)) == before
+    assert ref.brp.split_calls == 1 and ref.brp.split_steps == 0
+    assert ref.trp.split_calls == ref.trp.split_steps == 0
+
+
+def test_split_into_equal_halves_rescans_the_marked_half():
+    # States 0 to 3 are final with labels {0, 1}, so they start in one
+    # block; state 4, final with label 0 alone, starts in another.  The
+    # set {2 -1-> 4, 3 -1-> 4} marks {2, 3}, and the block splits into
+    # equal halves.  The marked (new) half must be the one rescanned, so
+    # 0 -0-> 2 and 3 -0-> 3 (transitions 0 and 6) and 1 -1-> 3
+    # (transition 3) are carved into two fresh pending sets, while the
+    # transitions into 0 and 1 stay put.
+    d = PtDfa.from_triples(5, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 0), (1, 1, 3),
+                                  (2, 0, 1), (2, 1, 4), (3, 0, 3), (3, 1, 4),
+                                  (4, 0, 4)], 0, {0, 1, 2, 3, 4})
+    dp = restrict(d, relevant_states(d))
+    assert dp.n == 5
+    ref, seen = _from_one_set(dp, 5)
+    assert ref.brp.sets == 5
+    blocks, sets, pending, count = seen[1]
+    assert blocks == [0, 0, 2, 2, 1]
+    assert sets[0] == sets[6] != sets[2] == sets[4]
+    assert sets[3] != sets[1]
+    assert {sets[0], sets[3]} == {count - 2, count - 1} == set(pending)
+
+
+def test_set_marked_whole_by_the_rescan_keeps_its_index_and_status():
+    # States 0 to 3 are final with labels {a, b, c}, so they start in one
+    # block; state 4 starts in another.  The set {2 -c-> 4, 3 -c-> 4}
+    # splits the block into the equal halves {0, 1} and {2, 3}.  Every
+    # a-transition of the block points into the rescanned half {2, 3},
+    # so the a-set is marked whole: it keeps its index and stays off the
+    # worklist, while the b-set, marked in part, spawns a fresh pending
+    # set for 1 -b-> 2 (transition 4).
+    d = PtDfa.from_triples(5, 3, [(0, 0, 2), (0, 1, 1), (0, 2, 0),
+                                  (1, 0, 3), (1, 1, 2), (1, 2, 1),
+                                  (2, 0, 2), (2, 1, 0), (2, 2, 4),
+                                  (3, 0, 3), (3, 1, 1), (3, 2, 4),
+                                  (4, 0, 4)], 0, {0, 1, 2, 3, 4})
+    dp = restrict(d, relevant_states(d))
+    start = Refinement(dp)
+    a_set = start.trp.set_of(0)
+    ref, seen = _from_one_set(dp, 8)
+    blocks, sets, pending, count = seen[1]
+    assert blocks == [0, 0, 2, 2, 1]
+    assert sets[0] == sets[3] == sets[6] == sets[9] == a_set
+    assert count == start.trp.sets + 1
+    assert pending == [sets[4]] == [count - 1]
 
 
 def test_no_round_runs_once_every_block_is_a_single_state():
@@ -180,7 +195,7 @@ def _refinement_cases():
         yield generate(80, 80, 0.1, 40, seed=12_600 + i)
     # Complete: every state has every label, so the refinement starts
     # from the paper's {F, Q - F} and takes many rounds from there.
-    for i in range(4):
+    for i in range(8):
         yield generate(40, 2, 1.0, 20, seed=12_700 + i)
 
 
@@ -194,8 +209,7 @@ def _refinement_result(ref):
 
 def _one_transition_skips(dp, worklist):
     """Rounds that pop a one-transition set whose tail is alone in its
-    block: the rounds whose ``split_block`` call in ``Refinement.run``
-    gets the trivial split."""
+    block: the rounds whose split in ``Refinement.run`` is trivial."""
     skips = 0
 
     def hook(r):
@@ -211,6 +225,19 @@ def _one_transition_skips(dp, worklist):
     return skips
 
 
+def _largest_of_each_label(ref) -> dict:
+    """Label -> the initial transition set of that label with the most
+    transitions, the lowest index on a tie, read before ``run``: the
+    sets that the start leaves off the worklist."""
+    trp = ref.trp
+    sets_of_label = {}
+    for p in range(trp.sets):
+        a = ref.dp.labels[trp.elems[trp.first[p]]]
+        sets_of_label.setdefault(a, []).append(p)
+    return {a: max(sets, key=lambda p: (trp.end[p] - trp.first[p], -p))
+            for a, sets in sets_of_label.items()}
+
+
 def _label_set_key(dp, q):
     first = dp.out_first
     return q in dp.finals, tuple(dp.labels[first[q]:first[q + 1]])
@@ -221,9 +248,10 @@ def test_start_partition_is_finality_and_label_sets_within_languages():
     # cases: before the run, the blocks are exactly the classes of
     # (finality, out-label set), so they refine {F, Q - F} and the label
     # sets, and they never split a class of equal languages.  The
-    # transition sets are exactly the (label, head block) classes, all
-    # pending and unmarked, with the transitions out of a state alone in
-    # its block retired.
+    # transition sets are exactly the (label, head block) classes,
+    # unmarked, with the transitions out of a state alone in its block
+    # retired, and every set is pending, in index order, but the largest
+    # of each label.
     checked = 0
     for d in chain(iter_tiny_dfas(), _refinement_cases()):
         dp = restrict(d, relevant_states(d))
@@ -262,7 +290,9 @@ def test_start_partition_is_finality_and_label_sets_within_languages():
                 assert trp.sidx[t] == (RETIRED if dp.tails[t] in alone else p)
             seen += len(members)
         assert seen == dp.m and sorted(trp.elems[:dp.m]) == list(range(dp.m))
-        assert list(ref.unready) == list(range(trp.sets))
+        skipped = set(_largest_of_each_label(ref).values())
+        assert list(ref.unready) == [p for p in range(trp.sets)
+                                     if p not in skipped]
         checked += 1
     assert checked > 10_000
 
@@ -294,6 +324,8 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
         for cls in (Refinement, ReferenceRefinement):
             ref = cls(dp, worklist=worklist)
             initial_blocks = ref.brp.sets
+            initial_sets = ref.trp.sets
+            queued = initial_sets - len(_largest_of_each_label(ref))
             rounds = []
             ref.run(lambda r: rounds.append(
                 (list(r.unready), partition_sets(r.brp), r.brp.sets - 1)))
@@ -301,14 +333,16 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
         assert runs[0] == runs[1]
         # The reference counts the real splits that it makes itself.
         assert ref.block_splits == ref.brp.sets - initial_blocks
-        # Every transition set is queued exactly once, and popped unless
-        # the run stopped at n singleton blocks with sets still pending.
+        # Every transition set but the largest initial one of each label
+        # is queued exactly once, and popped unless the run stopped at n
+        # singleton blocks with sets still pending.
+        queued += ref.trp.sets - initial_sets
         if ref.brp.sets == dp.n:
-            assert len(rounds) <= ref.trp.sets
-            if len(rounds) < ref.trp.sets:
+            assert len(rounds) <= queued
+            if len(rounds) < queued:
                 covered.add("stopped at all singletons")
         else:
-            assert len(rounds) == ref.trp.sets
+            assert len(rounds) == queued
         if RETIRED in ref.trp.sidx:
             covered.add("retired a transition")
         if dp.n == 1 and dp.m == 0:
@@ -336,6 +370,50 @@ def test_refinement_with_shared_in_index_matches_own_index(worklist):
         shared.run()
         own.run()
         assert _refinement_result(shared) == _refinement_result(own)
+
+
+def _blocks_as_sets(brp) -> set:
+    return {frozenset(brp.elems[brp.first[b]:brp.end[b]])
+            for b in range(brp.sets)}
+
+
+@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
+def test_largest_set_of_each_label_left_off_gives_the_same_blocks(worklist):
+    # The start that queued every initial set is a second refinement
+    # with the sets that the start leaves off appended to its worklist.
+    # Both end in the same blocks and give the same output, on the
+    # refinement cases and on criterion 2's tiny sweep, trimmed.  The
+    # touches fall in total, not in every run.
+    touches = {"left off": 0, "queued": 0}
+    alone_labels = 0
+    for d in chain(_refinement_cases(), iter_tiny_dfas()):
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        ref = Refinement(dp, worklist=worklist)
+        trp = ref.trp
+        if not trp.sets:
+            continue  # no set was built, so none is left off
+        old = Refinement(dp, worklist=worklist)
+        largest = _largest_of_each_label(ref)
+        skipped = set(range(trp.sets)) - set(ref.unready)
+        assert skipped == set(largest.values())
+        # A label whose transitions all enter one block queues nothing.
+        for a, p in largest.items():
+            if trp.end[p] - trp.first[p] == dp.labels.count(a):
+                assert all(dp.labels[trp.elems[trp.first[q]]] != a
+                           for q in ref.unready)
+                alone_labels += 1
+        old.unready.extend(sorted(skipped))
+        ref.run()
+        old.run()
+        assert _blocks_as_sets(ref.brp) == _blocks_as_sets(old.brp)
+        assert (canonicalize(dp, list(ref.brp.sidx))
+                == canonicalize(dp, list(old.brp.sidx)))
+        touches["left off"] += ref.splitter_touches
+        touches["queued"] += old.splitter_touches
+    assert alone_labels > 5000
+    assert touches["left off"] < touches["queued"]
 
 
 @pytest.mark.parametrize("worklist", ["lifo", "fifo"])
@@ -503,33 +581,42 @@ def test_final_blocks_satisfy_both_partition_conditions():
 
 
 def test_worklist_invariant_holds_at_every_round():
+    # From the first round on, where each label's largest initial set is
+    # not queued, on random inputs and on criterion 2's tiny sweep.
     rng = random.Random(11)
-    for i in range(60):
-        n = rng.randrange(2, 7)
-        d = generate(n, rng.randrange(1, 3), rng.choice([0.4, 0.8]),
-                     rng.randrange(0, n + 1), seed=11_000 + i)
-        checked = []
+    cases = [generate(n := rng.randrange(2, 7), rng.randrange(1, 3),
+                      rng.choice([0.4, 0.8]), rng.randrange(0, n + 1),
+                      seed=11_000 + i) for i in range(60)]
+    rounds = first_rounds_skipping = 0
+    for worklist in ("lifo", "fifo"):
+        for d in chain(cases, iter_tiny_dfas()):
+            checked = []
 
-        def hook(ref):
-            checked.append(worklist_invariant_ok(ref))
+            def hook(ref):
+                if not checked and len(ref.unready) < ref.trp.sets:
+                    nonlocal first_rounds_skipping
+                    first_rounds_skipping += 1
+                checked.append(worklist_invariant_ok(ref))
 
-        final_blocks(d, loop_hook=hook)
-        assert all(checked)
+            final_blocks(d, worklist=worklist, loop_hook=hook)
+            assert all(checked)
+            rounds += len(checked)
+    assert rounds > 9000 and first_rounds_skipping > 8000
 
 
 def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
-    # Every state has the one label, so the refinement starts from the
-    # blocks {0, 2} of final and {1, 3} of non-final states, and from
-    # the transition sets {3 -0-> 2} and [1 -0-> 3, 0 -0-> 1, 2 -0-> 1],
-    # laid out in the order of the in-transitions of states 3 and 1.
-    # The first FIFO round pops {3 -0-> 2} and splits {1, 3} into two
-    # one-state blocks, which retires 3 -0-> 2 and 1 -0-> 3.  In the
-    # second round, the pending set starts with 1 -0-> 3, whose head 3
-    # has just split off from state 1, the head of the live members
-    # 0 -0-> 1 and 2 -0-> 1.  The set's pair comes from a live member,
-    # not from the first one.
-    d = PtDfa.from_triples(4, 1, [(0, 0, 1), (1, 0, 3), (2, 0, 1), (3, 0, 2)],
-                           0, {0, 2})
+    # Every state is final; states 0 and 3 have the label set {0}, and
+    # states 1 and 2 the set {0, 1}, so the refinement starts from the
+    # blocks {0, 3} and {1, 2}.  Only [1 -0-> 2, 0 -0-> 1], into {1, 2},
+    # and {2 -1-> 2} are queued: the other set of each label ties with
+    # it and has the lower index.  The first LIFO round pops {2 -1-> 2}
+    # and splits {1, 2} into two one-state blocks, which retires the
+    # transitions out of 1 and 2.  In the second round, the pending set
+    # starts with 1 -0-> 2, whose head 2 has just split off from state
+    # 1, the head of the live member 0 -0-> 1.  The set's pair comes
+    # from a live member, not from the first one.
+    d = PtDfa.from_triples(4, 2, [(0, 0, 1), (1, 0, 2), (1, 1, 3), (2, 0, 0),
+                                  (2, 1, 2), (3, 0, 0)], 0, {0, 1, 2, 3})
     rounds = []
 
     def hook(ref):
@@ -542,7 +629,7 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
         rounds.append((first_pairs - ref.unready_pairs(),
                        worklist_invariant_ok(ref)))
 
-    final_blocks(d, worklist="fifo", loop_hook=hook)
+    final_blocks(d, loop_hook=hook)
     assert [ok for _, ok in rounds] == [True, True]
     assert [wrong for wrong, _ in rounds] == [set(), {(2, 0)}]
 
