@@ -483,7 +483,7 @@ def bucket_by(keys, nbins: int):
         counts[k] += 1
     first = list(accumulate(counts, initial=0))
     cursor = first[:-1]
-    order = array("i", bytes(4 * len(keys)))
+    order = array("i", [0]) * len(keys)
     for i, k in enumerate(keys):
         order[cursor[k]] = i
         cursor[k] += 1

@@ -2,15 +2,16 @@
 
 The partial transition function is completed by adding one absorbing
 sink state that receives every missing transition and all of its own.
-Classic (block, symbol) worklist refinement then runs over the full
-table.  The minimizer pipeline of :mod:`ptdfa.minimizer` does the
-preprocessing, times the completion as its own ``complete`` phase, and
-builds the canonical quotient from the final blocks, the sink's block
-left out.
+Classic (block, symbol) worklist refinement then runs over the
+inverse of the total transition function.  The minimizer pipeline of
+:mod:`ptdfa.minimizer` does the preprocessing, times the completion as
+its own ``complete`` phase, and builds the canonical quotient from the
+final blocks, the sink's block left out.
 
-Time is O(alpha n log n) and memory Theta(alpha n) for the dense table,
-its reverse index and the pending (block, label) pairs: the deliberate
-contrast with the sparse O(m) path.
+Time is O(alpha n log n) and memory Theta(alpha n) for the completed
+automaton's reverse index, one entry per (state, label) cell, and the
+pending (block, label) pairs: the deliberate contrast with the sparse
+O(m) path.
 """
 
 from array import array
@@ -25,18 +26,17 @@ __all__ = ["CompletedDfa", "sink_complete", "hopcroft_minimize"]
 
 @dataclass
 class CompletedDfa:
-    """Sink-completed view of an automaton: a dense total transition
-    table plus the reverse index the refinement scans.
+    """Sink-completed view of an automaton: the reverse index of its
+    total transition function, which the refinement scans.
 
-    ``table[q][a]`` is the successor state; the predecessors of state q
-    under label a are ``inv_elems[inv_offsets[q*alpha+a] :
-    inv_offsets[q*alpha+a+1]]``.  Both parts are Theta(alpha n).  The
-    sink is the last state, ``n - 1``.
+    The predecessors of state q under label a are
+    ``inv_elems[inv_offsets[q*alpha+a] : inv_offsets[q*alpha+a+1]]``;
+    every (state, label) cell is one entry, so the index is
+    Theta(alpha n).  The sink is the last state, ``n - 1``.
     """
 
     n: int
     alpha: int
-    table: list
     inv_elems: array
     inv_offsets: array
     finals: frozenset
@@ -45,37 +45,30 @@ class CompletedDfa:
 def sink_complete(d: PtDfa) -> CompletedDfa:
     """Complete the transition function with an absorbing sink state.
 
-    The sink is state n.  The table (a list of lists) and its reverse
-    index, each predecessor set in ascending order, are Theta(alpha n)
-    in memory, the baseline's regime.  Python walks the m defined
-    transitions twice and the alpha labels once; each Theta(alpha n)
-    pass runs in C, and nothing of size m is built.
+    The sink is state n.  The reverse index, each predecessor set in
+    ascending order, holds one entry per (state, label) cell: it is
+    Theta(alpha n) in memory, the baseline's regime.  Python walks the m
+    defined transitions twice and the alpha labels once; each
+    Theta(alpha n) pass runs in C, and nothing of size m is built.
     """
     n, alpha = d.n, d.alpha
     sink = n
     total = n + 1
     cells = total * alpha
-    table = [[sink] * alpha for _ in range(total)]
     # missing[a * total + q] is 1 when state q has no a-transition.
     missing = bytearray(b"\x01") * cells
     # offsets[k + 1] counts the predecessors under key k, then becomes
     # the start of key k + 1; key q * alpha + a is state q, label a.
-    offsets = array("i", bytes(4 * (cells + 1)))
-    # One int object per state, shared by the table's cells, where the
-    # heads would make one per transition; the list is dropped before
-    # the cursor is made, so the two are never held at once.
-    states = list(range(total))
+    offsets = array("i", [0]) * (cells + 1)
     for t, a, h in zip(d.tails, d.labels, d.heads):
-        table[t][a] = states[h]
         missing[a * total + t] = 0
         offsets[h * alpha + a + 1] += 1
-    del states
     base = sink * alpha
     for a in range(alpha):
         offsets[base + a + 1] = missing.count(1, a * total, (a + 1) * total)
     cursor = array("I", accumulate(offsets))
     memoryview(offsets).cast("B")[:] = memoryview(cursor).cast("B")
-    elems = array("i", bytes(4 * cells))
+    elems = array("i", [0]) * cells
     for t, a, h in zip(d.tails, d.labels, d.heads):
         k = h * alpha + a
         elems[cursor[k]] = t
@@ -90,7 +83,7 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
                                         missing[a * total:(a + 1) * total]))
             lo = 4 * offsets[base + a]
             elem_bytes[lo:lo + 4 * len(preds)] = memoryview(preds).cast("B")
-    return CompletedDfa(total, alpha, table, elems, offsets, d.finals)
+    return CompletedDfa(total, alpha, elems, offsets, d.finals)
 
 
 def _refine_total(c: CompletedDfa):
@@ -187,7 +180,7 @@ def _refine_completed(c: CompletedDfa, stats: MinimizeStats, in_index) -> list:
     """The completed-table refiner: the final block of each state of
     the preprocessed automaton that ``c`` completes, without the sink's
     block.  It scans the reverse index of ``c``; ``in_index`` is None,
-    since the pipeline drops its index before it completes the table."""
+    since the pipeline drops its index before it completes the automaton."""
     blocks, block_of, stats.splits, stats.splitter_touches = _refine_total(c)
     sink_block = block_of.pop()
     # Preprocessing left every state a nonempty language, so none shares

@@ -87,10 +87,8 @@ def language_equal(d1: PtDfa, d2: PtDfa) -> bool:
     Explores the product of the sink-completed automata; any reachable
     pair disagreeing on finality witnesses a difference.  Completing
     each automaton costs Theta(alpha * n) time and memory whatever its
-    m: a 3-state automaton with 2 transitions and alpha = 2*10**6 takes
-    seconds and over 100 MiB, where minimizing it takes under a
-    millisecond.  ROADMAP item 7 plans a check that needs no completed
-    table.
+    m, where ``minimize`` needs O(m + n + alpha).  ROADMAP item 7 plans
+    a check that needs no completed table.
     """
     if d1.alpha != d2.alpha:
         raise AlphabetMismatchError(

@@ -393,8 +393,10 @@ class ReferenceRefinement(Refinement):
 
 
 def reference_sink_complete(d: PtDfa) -> CompletedDfa:
-    """Reference for ``sink_complete``: the table filled row by row, and
-    its reverse index counted, summed and placed one cell at a time."""
+    """Reference for ``sink_complete``: a forward table filled row by
+    row, and its reverse index counted, summed and placed one cell at a
+    time.  Only the reverse index is returned, as ``sink_complete``
+    keeps only that."""
     n, alpha = d.n, d.alpha
     sink = n
     total = n + 1
@@ -417,7 +419,7 @@ def reference_sink_complete(d: PtDfa) -> CompletedDfa:
             key = row[a] * alpha + a
             elems[cursor[key]] = q
             cursor[key] += 1
-    return CompletedDfa(total, alpha, table, elems, offsets, d.finals)
+    return CompletedDfa(total, alpha, elems, offsets, d.finals)
 
 
 def reference_refine_total(c: CompletedDfa):

@@ -13,10 +13,13 @@ from helpers import reference_refine_total, reference_sink_complete
 def test_sink_complete_table_shape():
     d = PtDfa.from_triples(2, 2, [(0, 0, 1)], 0, {1})
     c = sink_complete(d)
-    assert c.n == 3
-    assert c.table[0] == [1, 2]
-    assert c.table[1] == [2, 2]
-    assert c.table[2] == [2, 2]
+    assert (c.n, c.alpha) == (3, 2)
+    # Cell q * alpha + a lists the predecessors of q under a: the sink,
+    # state 2, receives 1 and itself on label 0, and all three on label 1.
+    preds = [c.inv_elems[c.inv_offsets[k]:c.inv_offsets[k + 1]].tolist()
+             for k in range(c.n * c.alpha)]
+    assert preds == [[], [], [0], [], [1, 2], [0, 1, 2]]
+    assert c.inv_offsets.tolist() == [0, 0, 0, 1, 1, 3, 6]
 
 
 def test_sink_complete_reverse_index_matches_table():
@@ -26,12 +29,15 @@ def test_sink_complete_reverse_index_matches_table():
         d = generate(n, rng.randrange(1, 4), rng.choice([0.3, 0.7, 1.0]),
                      rng.randrange(0, n + 1), seed=5000 + i)
         c = sink_complete(d)
+        table = [[d.n] * d.alpha for _ in range(d.n + 1)]
+        for t, a, h in zip(d.tails, d.labels, d.heads):
+            table[t][a] = h
         for s in range(c.n):
             for a in range(c.alpha):
                 k = s * c.alpha + a
                 preds = sorted(c.inv_elems[c.inv_offsets[k]:c.inv_offsets[k + 1]])
                 assert preds == sorted(q for q in range(c.n)
-                                       if c.table[q][a] == s)
+                                       if table[q][a] == s)
 
 
 def _differential_cases():
@@ -67,19 +73,40 @@ def test_sink_complete_and_refinement_match_cell_by_cell_references():
     assert min(seen.values()) > 0, seen
 
 
-def test_refinement_peak_stays_below_the_completed_table():
+def _wide_refinement_input():
     # About 300 splits over a 300-letter alphabet, each queueing 300
-    # pending pairs.  Held as one byte each, plus one chunk per split,
-    # they stay far below the table that the refinement scans; two int32
-    # stacks would take about half the table, and a list of (block,
-    # symbol) tuples about 3.5 times it.
+    # pending (block, symbol) pairs.
     d = generate(300, 300, 0.1, 150, seed=3)
-    dp = restrict(d, relevant_states(d))
+    return restrict(d, relevant_states(d))
+
+
+def test_sink_complete_retains_only_the_reverse_index():
+    # One int32 entry and one int32 offset per (state, label) cell, plus
+    # the object headers: a forward table of pointers would add 8 bytes
+    # a cell, and int32 buffers built from zeroed bytes 1/16 more.
+    dp = _wide_refinement_input()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         c = sink_complete(dp)
-        table_bytes = tracemalloc.get_traced_memory()[0] - before
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = (dp.n + 1) * dp.alpha
+    assert c.n * c.alpha == cells
+    assert retained <= 8 * cells + 4096, (retained, cells)
+
+
+def test_refinement_peak_stays_below_the_completed_table():
+    # The pending pairs, held as one byte each plus one chunk per split,
+    # stay far below the reverse index that the refinement scans; two
+    # int32 stacks of blocks and labels peak above the whole index.
+    dp = _wide_refinement_input()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = sink_complete(dp)
+        reverse_bytes = tracemalloc.get_traced_memory()[0] - before
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _, _, splits, _ = _refine_total(c)
@@ -87,7 +114,7 @@ def test_refinement_peak_stays_below_the_completed_table():
     finally:
         tracemalloc.stop()
     assert splits > 250
-    assert refine_peak < table_bytes / 4, (refine_peak, table_bytes)
+    assert refine_peak < reverse_bytes / 2, (refine_peak, reverse_bytes)
 
 
 def test_agrees_with_minimize_on_random_instances():
