@@ -79,16 +79,17 @@ refiner, whose input the baseline first completes: dead-state removal,
 the empty-language answer, the refiner's final block of each state,
 then ``canonicalize``, which builds the canonical quotient straight
 from those blocks, or only renumbers the automaton when no two states
-merged.  The incoming transitions of each state are grouped once, in
-the CSR form of the out-index (:func:`bucket_by`), for dead-state
-removal, and handed on to this refiner when that removal kept every
-state.
+merged.  The incoming transitions of each state, in the CSR form of the
+out-index (:func:`bucket_by`), are grouped only where a step reads them:
+by the backward search of dead-state removal, which hands them on to
+this refiner when it kept every state, or else by this refiner when its
+start has fewer blocks than states.
 """
 
 from array import array
 from collections import deque
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, compress
 from operator import itemgetter, sub
 from time import perf_counter
 
@@ -169,16 +170,10 @@ class Refinement:
                 dp.labels, dp.alpha, _incoming_by_block(brp, in_index))
         self.in_order, self.in_first = in_index
         sets = trp.sets
-        firsts = trp.first[:sets]
         # Each label's largest initial set, the lowest index on a tie,
         # stays off the worklist; every other one is pending.
-        largest = {}
-        for p, a, size in zip(count(), map(dp.labels.__getitem__, map(
-                trp.elems.__getitem__, firsts)), map(sub, trp.end, firsts)):
-            if size > largest.get(a, (0,))[0]:
-                largest[a] = size, p
         pending = bytearray(b"\x01") * sets
-        for _, p in largest.values():
+        for p in trp.largest:
             pending[p] = 0
         self.unready.extend(compress(range(sets), pending))
         # Set index -1 reads one extra slot, shaped like a one-transition
@@ -393,17 +388,20 @@ def _pipeline(d: PtDfa, refine, complete=None):
     quotient.
 
     The incoming transitions of each state, ``bucket_by(d.heads,
-    d.n)``, are grouped once, for every refiner: dead-state removal
-    walks them, and when it keeps every state (``dp is d``) and no
-    ``complete`` step follows, the refiner gets them as ``in_index``.
-    Otherwise they are dropped before the ``complete`` step runs, and
-    ``in_index`` is None: a refiner of a completed automaton (hopcroft)
-    has no use for them.
+    d.n)``, are grouped only when dead-state removal needs its backward
+    search, which is when some reachable state is neither final nor has
+    a final successor.  The refiner gets them as ``in_index`` only if
+    they were grouped, dead-state removal kept every state (``dp is
+    d``) and no ``complete`` step follows; otherwise ``in_index`` is
+    None, and a refiner of ``dp`` groups its own only if it reads them.
+    A refiner of a completed automaton (hopcroft) never does.
     """
     t0 = perf_counter()
     stats = MinimizeStats(n_in=d.n, m_in=d.m, alpha=d.alpha)
-    in_index = bucket_by(d.heads, d.n)
-    dp = restrict(d, relevant_states(d, in_index))
+    # bucket_by is looked up here, at call time, so that a wrapper put
+    # in its place sees every in-index that is built.
+    mask, in_index = relevant_states(d, bucket_by)
+    dp = restrict(d, mask)
     if complete is not None or dp is not d:
         in_index = None
     stats.n_core = dp.n

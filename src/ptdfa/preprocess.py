@@ -6,20 +6,25 @@ never changes the language, and afterwards every surviving state has a
 nonempty language, which the minimizer's splitting logic relies on.
 
 The forward search walks each state's slice of the heads, delimited by
-the automaton's cached out-index offsets (:attr:`PtDfa.out_first`), the
-backward search the incoming transitions grouped by head.  Each search
-goes breadth first, one level of newly marked states at a time, and
-stops after the state whose walk marks the last unmarked state; on a
-dense automaton that is long before its last transition.  The minimizer
-passes the kept states from one step to the next as a mask of one 0/1
-byte per state, which the public functions wrap in a set.  ``restrict``
-keeps the relative order of the surviving transitions and renumbers
-states in ascending order, so its result keeps the (tail, label) order
-that every PtDfa is in.
+the automaton's cached out-index offsets (:attr:`PtDfa.out_first`),
+breadth first, one level of newly marked states at a time, and stops
+after the state whose walk marks the last unmarked state; on a dense
+automaton that is long before its last transition.  One bottom-up step
+then reads the same slices in C-level passes: if every reachable state
+is final or has a final successor, every reachable state reaches a
+final state.  Only if that fails is the in-index, the incoming
+transitions grouped by head (:func:`~ptdfa.automaton.bucket_by`), built
+for a backward search from the final states.  The minimizer passes the
+kept states from one step to the next as a mask of one 0/1 byte per
+state, which the public functions wrap in a set.  ``restrict`` keeps the
+relative order of the surviving transitions and renumbers states in
+ascending order, so its result keeps the (tail, label) order that every
+PtDfa is in.
 """
 
 from array import array
-from itertools import compress
+from itertools import compress, pairwise, repeat, starmap
+from operator import gt
 
 from .automaton import AutomatonError, PtDfa, bucket_by
 
@@ -34,27 +39,29 @@ class InitialNotRetainedError(AutomatonError):
 def relevant_states(d: PtDfa) -> set:
     """The initial state plus every state that is both reachable from it
     and able to reach a final state."""
-    in_index = bucket_by(d.heads, d.n)
-    return set(compress(range(d.n), _relevant_mask(d, in_index)))
+    mask, _ = _relevant_mask(d, bucket_by)
+    return set(compress(range(d.n), mask))
 
 
-def _relevant_mask(d: PtDfa, in_index) -> bytearray:
-    """The states of :func:`relevant_states` as a 0/1 byte per state.
+def _relevant_mask(d: PtDfa, bucket):
+    """The states of :func:`relevant_states` as a 0/1 byte per state,
+    and the in-index if the backward search built it, else None.
 
-    ``in_index`` must be ``bucket_by(d.heads, d.n)``, the incoming
-    transitions of each state."""
+    ``bucket`` is :func:`~ptdfa.automaton.bucket_by` as the caller looks
+    it up; ``bucket(d.heads, d.n)``, the incoming transitions of each
+    state, is called only when the bottom-up step fails.  O(n + m)."""
     n = d.n
-    tails = d.tails
-
-    out_heads, out_first = d.heads, d.out_first
     fwd = bytearray(n)
     fwd[d.initial] = 1
+    if not d.finals:  # no state reaches one: keep the initial state alone
+        return fwd, None
+    heads, out_first = d.heads, d.out_first
     unmarked = n - 1
     level = [d.initial]
     while level and unmarked:
         reached = []
         for q in level:
-            for h in out_heads[out_first[q]:out_first[q + 1]]:
+            for h in heads[out_first[q]:out_first[q + 1]]:
                 if not fwd[h]:
                     fwd[h] = 1
                     reached.append(h)
@@ -63,32 +70,33 @@ def _relevant_mask(d: PtDfa, in_index) -> bytearray:
         unmarked -= len(reached)
         level = reached
 
-    in_order, in_first = in_index
-    bwd = bytearray(n)
-    level = list(d.finals)
-    for q in level:
-        bwd[q] = 1
-    unmarked = n - len(level)
-    while level and unmarked:
-        reached = []
-        for q in level:
-            # Measured faster here than mapping tails over a slice of
-            # in_order, as the forward search maps nothing.
-            for k in range(in_first[q], in_first[q + 1]):
-                t = tails[in_order[k]]
-                if not bwd[t]:
-                    bwd[t] = 1
-                    reached.append(t)
-            if len(reached) == unmarked:
-                break
-        unmarked -= len(reached)
-        level = reached
+    final = bytearray(n)
+    for q in d.finals:
+        final[q] = 1
+    # The bottom-up step: the heads of each reachable non-final state in
+    # turn, until one has no final state among them.  Each slice is read
+    # once, so O(n + m) with no alphabet term.
+    out_heads = map(heads.__getitem__, starmap(slice, compress(
+        pairwise(out_first), map(gt, fwd, final))))
+    if all(map(any, map(map, repeat(final.__getitem__), out_heads))):
+        return fwd, None
+
+    in_index = in_order, in_first = bucket(heads, n)
+    tails = d.tails
+    bwd = final  # the final states start marked
+    queue = list(d.finals)
+    for q in queue:  # breadth first: the queue grows as it is read
+        for k in range(in_first[q], in_first[q + 1]):
+            t = tails[in_order[k]]
+            if not bwd[t]:
+                bwd[t] = 1
+                queue.append(t)
 
     # The marks are 0/1 bytes, so one big-int AND intersects them in C.
     both = int.from_bytes(fwd, "little") & int.from_bytes(bwd, "little")
     mask = bytearray(both.to_bytes(n, "little"))
     mask[d.initial] = 1
-    return mask
+    return mask, in_index
 
 
 def restrict(d: PtDfa, keep) -> PtDfa:

@@ -44,10 +44,14 @@ class RefinablePartition:
     ``mark_calls``, ``split_calls`` and ``split_steps`` count the work
     done, so the amortization claim is checkable: the total loop steps of
     all splits never exceed the number of marks.
+
+    ``largest``, empty here, lists the largest set of each label in a
+    partition that :func:`~ptdfa.splitter_init.init_trp_grouping` built.
     """
 
     __slots__ = ("sets", "elems", "loc", "sidx", "first", "end",
-                 "mid", "mark_calls", "split_calls", "split_steps")
+                 "mid", "mark_calls", "split_calls", "split_steps",
+                 "largest")
 
     def __init__(self, max_elems: int):
         if max_elems < 0:
@@ -64,6 +68,7 @@ class RefinablePartition:
         self.mark_calls = 0
         self.split_calls = 0
         self.split_steps = 0
+        self.largest = []
 
     def size(self, s: int) -> int:
         """Number of elements in set ``s``."""

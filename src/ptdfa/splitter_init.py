@@ -73,9 +73,12 @@ def init_trp_grouping(labels, alpha: int, groups) -> RefinablePartition:
     group lists them, in a partition whose six buffers are int32 arrays.
     The sets of one label lie back to back in one range, and the ranges
     come in order of first appearance of their labels in ``labels``.
+    ``rp.largest`` lists each label's largest set, the one with the most
+    transitions (the lowest index on a tie), in that order of labels,
+    noted as each set closes.
     O(m) time and memory: the labels are numbered through a dict of the
     labels that occur, in place in ``sidx`` until each transition's set
-    replaces its label's number there, and each label has three list
+    replaces its label's number there, and each label has five list
     slots, so no storage grows with ``alpha`` or holds a key per pair.
     No labels give the empty partition, with no sets.
     """
@@ -96,6 +99,10 @@ def init_trp_grouping(labels, alpha: int, groups) -> RefinablePartition:
     cursor = list(accumulate(Counter(sidx).values(), initial=0))
     group_of = [-1] * len(index)
     set_of = [0] * len(index)
+    # Each label's largest set so far, and its size: a label's sets close
+    # in index order, so a strictly larger one replaces it.
+    rp.largest = largest = [0] * len(index)
+    most = [0] * len(index)
     new = 0
     for g, group in enumerate(groups):
         for t in group:
@@ -104,7 +111,11 @@ def init_trp_grouping(labels, alpha: int, groups) -> RefinablePartition:
             cursor[a] = pos + 1
             if group_of[a] != g:
                 if group_of[a] >= 0:
-                    end[set_of[a]] = pos
+                    i = set_of[a]
+                    end[i] = pos
+                    if pos - first[i] > most[a]:
+                        most[a] = pos - first[i]
+                        largest[a] = i
                 group_of[a] = g
                 set_of[a] = new
                 first[new] = pos
@@ -112,8 +123,10 @@ def init_trp_grouping(labels, alpha: int, groups) -> RefinablePartition:
             elems[pos] = t
             loc[t] = pos
             sidx[t] = set_of[a]
-    for i, pos in zip(set_of, cursor):
-        end[i] = pos
+    for a, i in enumerate(set_of):
+        pos = end[i] = cursor[a]
+        if pos - first[i] > most[a]:
+            largest[a] = i
     rp.sets = new
     mid[:new] = first[:new]
     return rp

@@ -692,35 +692,43 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
                                d.finals)
     out = minimize(d)
     assert out == oracle_minimize(d)
-    # The in-index of d is built once and shared; the refiner builds its
-    # own only when dead-state removal dropped states.
+    # Every state of the ring is final or has a final successor, so
+    # dead-state removal groups no in-index, and the refiner groups its
+    # own.  State 6 fails that test: the in-index of d is grouped for the
+    # backward search, and the refiner groups one over the restricted
+    # automaton.
     assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
                      "bucket_by": 1 if keeps_all else 2}
 
 
 def test_traced_layers_without_transition_sets(monkeypatch):
     # When every initial block is a single state, the refiner is still
-    # built and run once, but it groups no transitions.
+    # built and run once, but it groups no transitions; each non-final
+    # state has a final successor, so no in-index is grouped at all.
     calls = _count_traced_layer_calls(monkeypatch)
     d = _DISTINCT_LABEL_SETS
     _, stats = minimize_with_stats(d)
     assert stats.initial_blocks == d.n
     assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
-                     "init_trp_grouping": 0}
+                     "init_trp_grouping": 0, "bucket_by": 0}
 
 
 @pytest.mark.parametrize("case, sorts", [
-    ("keeps_all", 1), ("drops_one", 2), ("shuffled", 1)])
+    ("keeps_all", 1), ("drops_one", 2), ("shuffled", 1),
+    ("drops_unreachable", 1)])
 def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
     # State 4 reaches no final state when the transition 1 -1-> 4 is
-    # kept.  The other states share their one label in pairs of equal
-    # finality, so the refiner needs an in-index.
+    # kept, and no state reaches it when 4 -0-> 0 is.  The other states
+    # share their one label in pairs of equal finality, so the refiner
+    # needs an in-index.
     lines = ["0 0 1", "1 0 2", "2 0 3", "3 0 0"]
     if case == "drops_one":
         lines.insert(2, "1 1 4")
+    if case == "drops_unreachable":
+        lines.append("4 0 0")
     if case == "shuffled":
         lines.reverse()
-    n = 5 if case == "drops_one" else 4
+    n = 5 if case.startswith("drops") else 4
     text = "\n".join([f"dfa {n} 2 {len(lines)} 2 0"] + lines
                      + ["1", "3", ""])
     expected = serialize(oracle_minimize(parse(text)))
@@ -739,10 +747,32 @@ def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
     monkeypatch.setattr(automaton, "_in_key_order",
                         counted("order checks", automaton._in_key_order))
     assert serialize(minimize(d)) == expected
-    # The in-index by head, and a second one over the restricted
-    # automaton when a state is dropped; parse already sorted the
-    # shuffled input, so nothing sorts by tail.
+    # The refiner's in-index by head.  Dead-state removal groups one
+    # only for the dead state 4, whose backward search reads it, and so
+    # a second one is grouped over the restricted automaton; an
+    # unreachable state is dropped by the forward search alone.  parse
+    # already sorted the shuffled input, so nothing sorts by tail.
     assert calls == {"bucket_by": sorts, "order checks": 0}
+
+
+@pytest.mark.parametrize("run", [minimize_with_stats, hopcroft_minimize])
+def test_random_sparse_input_groups_no_in_index(monkeypatch, run):
+    # The shape of the random_sparse workload: every non-final state has
+    # a final successor, and every state its own label set, so neither
+    # dead-state removal nor the refiner reads an in-index.
+    d = generate(300, 300, 0.1, 150, seed=5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bucket_by(*args)
+
+    for module in (automaton, preprocess, minimizer):
+        monkeypatch.setattr(module, "bucket_by", counted)
+    out, stats = run(d)
+    assert stats.n_core == d.n
+    assert out == oracle_minimize(d)
+    assert calls == []
 
 
 def test_isomorphism_wrapper_on_minimized_results():

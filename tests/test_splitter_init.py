@@ -95,6 +95,35 @@ def test_grouping_by_label_and_group_matches_reference_fill():
                                for t in group})
 
 
+def _largest_by_label(rp, labels):
+    """Each label's largest set, the lowest index on a tie, by a pass
+    over the sets, listed in order of first appearance in ``labels``."""
+    best = {}
+    for s in range(rp.sets):
+        a = labels[rp.elems[rp.first[s]]]
+        if a not in best or rp.size(s) > rp.size(best[a]):
+            best[a] = s
+    return [best[a] for a in dict.fromkeys(labels)]
+
+
+def test_grouping_notes_each_labels_largest_set():
+    # Few labels and small groups, so that sets of one label often tie.
+    rng = random.Random(45)
+    for trial in range(300):
+        m = rng.randrange(0, 40)
+        alpha = rng.randrange(1, 4)
+        labels = [rng.randrange(alpha) for _ in range(m)]
+        order = list(range(m))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(m + 1), rng.randrange(0, m + 1)))
+        groups = [order[i:j] for i, j in zip([0] + cuts, cuts + [m])]
+        rp = init_trp_grouping(labels, alpha, groups)
+        assert rp.largest == _largest_by_label(rp, labels)
+    # Label 0 has three sets of one transition each: the first is noted.
+    rp = init_trp_grouping([0, 0, 0], 1, [[2], [0], [1]])
+    assert rp.largest == [0]
+
+
 def test_grouping_holds_nothing_per_pair():
     # Every transition is a group of its own, so there are m pairs.  The
     # partition's six int32 arrays take 24 bytes per transition, and the
