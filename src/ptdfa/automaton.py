@@ -513,9 +513,9 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     ascending order, and so the result's transitions come out in
     (tail, label) order; with ``blocks``, each head is mapped to its
     block.  O(n + m): one Python step per transition looks for heads not
-    yet numbered, and each block adds its tails as one int32
-    repetition, its labels as one slice and its new heads as one C-level
-    map.
+    yet numbered, until every block is numbered, and each block adds its
+    tails as one int32 repetition, its labels as one slice and its new
+    heads as one C-level map.
     """
     labels, heads, first = d.labels, d.heads, d.out_first
     block_of = rep = range(d.n)
@@ -551,10 +551,11 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
         out = heads[f:e]
         if block is not None:
             out = list(map(block, out))
-        for h in out:
-            if new_of[h] < 0:
-                new_of[h] = len(bfs)
-                bfs.append(h)
+        if len(bfs) < k:  # once every block is numbered, none is new
+            for h in out:
+                if new_of[h] < 0:
+                    new_of[h] = len(bfs)
+                    bfs.append(h)
         tail[0] = q
         ct += tail * (e - f)
         cl += labels[f:e]

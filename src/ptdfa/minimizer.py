@@ -43,20 +43,21 @@ transition set is built and the run makes no round.
 
 Both partitions are :class:`RefinablePartition` arrays that the loops
 read and write directly, and the worklist is a plain ``array('i')``
-(or a ``deque`` for FIFO order).  The inner loops avoid a call per
-element, and a worklist round calls no Python function unless a hook
-is given.  A state in a singleton block, or a transition in a
-singleton transition set, is never marked: its split could only be
-trivial.  A round whose splitter is one transition marks its tail
-alone, with no touched list; its block splits unless the tail is alone
-in it.  Both kinds of round end in one split site in ``run``: a touched
-block marked whole has its marks cleared in place, and any other has
-its marked prefix made the next block, as ``RefinablePartition.split``
-would, before the smaller half is rescanned and the transition sets it
-reaches are carved inline.  The counters still count every skipped or
-cleared trivial split as a split call of its partition, so
-``split_calls`` reads the same as if each touched set had been passed
-to ``RefinablePartition.split``.
+popped from the end.  The inner loops avoid a call per element, and a
+worklist round calls no Python function unless a hook is given.  The
+rounds may take the pending sets in any order with the same result; a
+hook imposes another order by reordering the worklist in place.  A
+state in a singleton block, or a transition in a singleton transition
+set, is never marked: its split could only be trivial.  A round whose
+splitter is one transition marks its tail alone, with no touched list;
+its block splits unless the tail is alone in it.  Both kinds of round
+end in one split site in ``run``: a touched block marked whole has its
+marks cleared in place, and any other has its marked prefix made the
+next block, as ``RefinablePartition.split`` would, before the smaller
+half is rescanned and the transition sets it reaches are carved inline.
+The counters still count every skipped or cleared trivial split as a
+split call of its partition, so ``split_calls`` reads the same as if
+each touched set had been passed to ``RefinablePartition.split``.
 
 Two rules drop work that can split nothing.  A block of one state never
 splits again, so when the start or a split leaves a block of one state,
@@ -87,7 +88,6 @@ start has fewer blocks than states.
 """
 
 from array import array
-from collections import deque
 from functools import partial
 from itertools import chain, compress
 from operator import itemgetter, sub
@@ -135,27 +135,21 @@ class Refinement:
     ``brp.set_of(q)``, and ``brp.sets`` before ``run()`` is the number
     of initial blocks.
 
-    ``unready``, the worklist of pending transition sets, is a plain
-    container that new sets are appended to: an ``array('i')`` popped
-    from the end for "lifo", a ``deque`` popped from the front for
-    "fifo".  It is nonempty exactly when work is pending.  It starts
-    with every initial set in index order but the largest of each
+    ``unready``, the worklist of pending transition sets, is an
+    ``array('i')`` that new sets are appended to and that each round
+    pops from the end.  It is nonempty exactly when work is pending.  It
+    starts with every initial set in index order but the largest of each
     label, the one with the most transitions (the lowest index on a
     tie): each initial block is stable with respect to all of a label's
     transitions, so by Hopcroft's rule any one of the label's sets may
-    be left off (see the module docstring).  The deque
-    holds int objects, not four-byte entries, so "fifo" peaks higher
-    than "lifo"; it stays, as the reference order that criterion 8
-    compares the default against.
+    be left off (see the module docstring).
     """
 
-    def __init__(self, dp: PtDfa, worklist: str = "lifo", in_index=None):
-        if worklist not in ("lifo", "fifo"):
-            raise ValueError(f"unknown worklist discipline {worklist!r}")
+    def __init__(self, dp: PtDfa, in_index=None):
         self.dp = dp
         self.brp = brp = init_block_grouping(dp)
         # The worklist holds up to one entry per transition set.
-        self.unready = deque() if worklist == "fifo" else array("i")
+        self.unready = array("i")
         self.splitter_touches = 0
         self.small_half_touches = 0
         if brp.sets == dp.n:
@@ -213,7 +207,9 @@ class Refinement:
     def run(self, hook=None) -> None:
         """Refine the initial partition until the worklist drains.
         ``hook(self)``, if given, fires at the top of every worklist
-        round."""
+        round, before the pop.  It may reorder ``self.unready`` in place
+        to take the pending sets in another order; the final blocks are
+        the same in any order."""
         dp = self.dp
         n = dp.n
         tails = dp.tails
@@ -237,8 +233,7 @@ class Refinement:
         tmid = trp.mid
         tend = trp.end
         pending = self.unready
-        take = (pending.popleft if isinstance(pending, deque)
-                else pending.pop)
+        take = pending.pop
         queue = pending.append
         blocks_before = brp.sets
         sets_before = trp.sets
@@ -309,7 +304,7 @@ class Refinement:
                 if b2 + 1 == n:
                     # Every block is a single state, so none can split
                     # again: the run ends with nothing pending.
-                    pending *= 0  # empties the array or the deque in place
+                    pending *= 0  # empties the array in place
                     break
                 # A half of one state never splits again: retire the
                 # transitions out of it, which are never marked from now on.
@@ -435,10 +430,9 @@ def _pipeline(d: PtDfa, refine, complete=None):
     return dp, blocks, out, stats
 
 
-def _refine(dp: PtDfa, stats: MinimizeStats, in_index, worklist: str,
-            hook) -> list:
+def _refine(dp: PtDfa, stats: MinimizeStats, in_index, hook) -> list:
     """The two-partition refiner: the final block of each state."""
-    ref = Refinement(dp, worklist=worklist, in_index=in_index)
+    ref = Refinement(dp, in_index=in_index)
     stats.initial_blocks = ref.brp.sets
     ref.run(hook)
     # The final block count less one: the separations of the initial
@@ -449,34 +443,35 @@ def _refine(dp: PtDfa, stats: MinimizeStats, in_index, worklist: str,
     return ref.brp.sidx
 
 
-def minimize_with_stats(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
+def minimize_with_stats(d: PtDfa, *, loop_hook=None):
     """Minimize ``d`` and report instrumentation.
 
     Returns ``(out, stats)`` where ``out`` is the canonical minimal
     automaton for the same language: dead states are removed first, an
     empty language yields the one-state empty automaton, and otherwise
-    the refined blocks are collapsed to a quotient.  ``worklist`` selects
-    the processing order ("lifo" or "fifo"); the result is identical
-    either way.
+    the refined blocks are collapsed to a quotient.  ``loop_hook(ref)``,
+    if given, is called with the :class:`Refinement` at the top of every
+    worklist round (see :meth:`Refinement.run`); by reordering
+    ``ref.unready`` in place it imposes another processing order, and
+    the result is identical in any order.
     """
-    _, _, out, stats = _pipeline(
-        d, partial(_refine, worklist=worklist, hook=loop_hook))
+    _, _, out, stats = _pipeline(d, partial(_refine, hook=loop_hook))
     return out, stats
 
 
-def minimize(d: PtDfa, *, worklist: str = "lifo") -> PtDfa:
+def minimize(d: PtDfa) -> PtDfa:
     """The unique minimal PT-DFA accepting the same language as ``d``,
     in canonical form."""
-    return minimize_with_stats(d, worklist=worklist)[0]
+    return minimize_with_stats(d)[0]
 
 
-def final_blocks(d: PtDfa, *, worklist: str = "lifo", loop_hook=None):
+def final_blocks(d: PtDfa, *, loop_hook=None):
     """Run the refinement and report its final partition.
 
     Returns ``(dp, blocks, stats)``: the preprocessed automaton, the
     final block index of each of its states (None when the language is
-    empty and no refinement ran), and the instrumentation.
+    empty and no refinement ran), and the instrumentation.  ``loop_hook``
+    is as for :func:`minimize_with_stats`.
     """
-    dp, blocks, _, stats = _pipeline(
-        d, partial(_refine, worklist=worklist, hook=loop_hook))
+    dp, blocks, _, stats = _pipeline(d, partial(_refine, hook=loop_hook))
     return dp, blocks, stats

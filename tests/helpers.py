@@ -2,15 +2,19 @@
 sets as lists, a naive reference partition, the line-by-line reference
 parser, the sort-every-time reference serializer, a plain breadth-first
 reference renumbering, the one-step-per-transition reference label
-grouping, the call-per-split reference refinement loop, the
-cell-by-cell reference completion and completed-table refinement, the
-state-by-state reference keep set, brute-force language tools, and the
-exhaustive tiny-automaton sweep."""
+grouping, the call-per-split reference refinement loop, worklist
+orders other than the default, the cell-by-cell reference completion
+and completed-table refinement, the state-by-state reference keep set,
+brute-force language tools, the exhaustive tiny-automaton sweep, and
+the benchmark's input constructors."""
 
+import importlib.util
+import random
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 from ptdfa import (
     ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError, ValidationError, hopcroft_minimize,
@@ -19,6 +23,19 @@ from ptdfa import (
 from ptdfa.automaton import bucket_by
 from ptdfa.hopcroft import CompletedDfa
 from ptdfa.oracle import oracle_minimize
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@lru_cache(maxsize=1)
+def benchmark_workloads():
+    """The benchmark's input constructors, ``perfbench/workloads.py``,
+    loaded by path and left as they are."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def as_int32(rp):
@@ -261,8 +278,8 @@ class ReferenceRefinement(Refinement):
     by one; a retired transition is never marked again, and each touch
     of one counts as a trivial split call of the transition partition."""
 
-    def __init__(self, dp, worklist="lifo"):
-        super().__init__(dp, worklist)
+    def __init__(self, dp):
+        super().__init__(dp)
         self.block_splits = 0
         self.touched_blocks = []
         self.touched_spls = []
@@ -283,10 +300,7 @@ class ReferenceRefinement(Refinement):
         if b2 is not None:
             self.block_splits += 1
         if brp.sets == self.dp.n:
-            if isinstance(self.unready, deque):
-                self.unready.clear()
-            else:
-                del self.unready[:]
+            del self.unready[:]
             return
         if b2 is None:
             return
@@ -359,8 +373,7 @@ class ReferenceRefinement(Refinement):
         bfirst = brp.first
         bmid = brp.mid
         unready = self.unready
-        ur_remove = (unready.popleft if isinstance(unready, deque)
-                     else unready.pop)
+        ur_remove = unready.pop
         touched = self.touched_blocks
         touched_add = touched.append
         touched_remove = touched.pop
@@ -593,6 +606,21 @@ def minimal_sizes_by_enumeration(d):
             if h is not None and h in rel:
                 m_min += 1
     return len(classes), m_min
+
+
+def fifo_order(ref):
+    """A ``loop_hook`` that makes the refinement take its pending sets
+    first in, first out: it moves the oldest to the end of
+    ``ref.unready``, where the round pops it."""
+    u = ref.unready
+    u.append(u.pop(0))
+
+
+def shuffled_order(seed):
+    """A ``loop_hook`` that shuffles ``ref.unready`` in place before
+    each round, from its own ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return lambda ref: rng.shuffle(ref.unready)
 
 
 def worklist_invariant_ok(ref):

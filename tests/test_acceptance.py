@@ -15,8 +15,8 @@ from ptdfa.oracle import language_partition
 from ptdfa.preprocess import relevant_states, restrict
 
 from helpers import (
-    ModelPartition, as_int32, assert_agrees, check_partition,
-    final_partition_violations, tiny_sweep_report,
+    ModelPartition, as_int32, assert_agrees, check_partition, fifo_order,
+    final_partition_violations, shuffled_order, tiny_sweep_report,
 )
 
 DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -209,16 +209,23 @@ def test_criterion_7_memory_regime_contrast():
 
 def test_criterion_8_deterministic_outputs():
     diffs = 0
+    touches = set()
     for seed in range(6):
-        def pipeline(worklist):
+        def pipeline(order):
             d = generate(120, 6, 0.3, 60 + seed % 3, seed=seed)
-            return serialize(minimize(d, worklist=worklist))
+            out, stats = minimize_with_stats(d, loop_hook=order)
+            touches.add((seed, stats.splitter_touches))
+            return serialize(out)
 
-        first = pipeline("lifo")
-        second = pipeline("lifo")
-        fifo = pipeline("fifo")
-        if first != second or first != fifo:
+        # A rerun of the default order, then FIFO and three random orders.
+        orders = [None, None, fifo_order] + [
+            shuffled_order(100 * seed + i) for i in range(3)]
+        if len(set(map(pipeline, orders))) != 1:
             diffs += 1
     assert diffs == 0
+    # The orders are not the same run: they scan different splitters.
+    assert len(touches) > 6
     _report("criterion 8",
-            "byte-identical outputs across reruns and worklist orders")
+            "byte-identical outputs across reruns, FIFO and 3 random "
+            f"worklist orders ({len(touches)} distinct touch counts "
+            "over 6 inputs)")

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import fields
+from array import array
+from collections import Counter
+from dataclasses import fields, replace
 from itertools import chain
 
 import pytest
@@ -9,6 +14,7 @@ from ptdfa import (
     MinimizeStats, PtDfa, Refinement, accepts, empty_dfa, final_blocks, generate,
     hopcroft_minimize, is_isomorphic, minimize, minimize_with_stats,
     oracle_minimize, parse, relevant_states, restrict, serialize,
+    sink_complete,
 )
 from ptdfa import automaton, minimizer, preprocess
 from ptdfa.automaton import bucket_by, canonicalize
@@ -16,9 +22,9 @@ from ptdfa.oracle import language_partition
 from ptdfa.workload import ALGORITHMS
 
 from helpers import (
-    RETIRED, ReferenceRefinement, all_words, check_partition,
-    final_partition_violations, iter_tiny_dfas, partition_sets,
-    worklist_invariant_ok,
+    RETIRED, ROOT, ReferenceRefinement, all_words, benchmark_workloads,
+    check_partition, fifo_order, final_partition_violations, iter_tiny_dfas,
+    partition_sets, shuffled_order, worklist_invariant_ok,
 )
 
 
@@ -207,21 +213,38 @@ def _refinement_result(ref):
             partition_sets(trp), trp.sets, trp.split_calls, trp.split_steps)
 
 
-def _one_transition_skips(dp, worklist):
+# The default worklist order, and first in, first out through a hook.
+ORDERS = pytest.mark.parametrize("order", [None, fifo_order],
+                                 ids=["lifo", "fifo"])
+
+
+def _after(order, hook):
+    """A round hook that calls ``order``, if given, and then ``hook``,
+    which sees the worklist in the order that the round pops it."""
+    if order is None:
+        return hook
+
+    def both(r):
+        order(r)
+        hook(r)
+
+    return both
+
+
+def _one_transition_skips(dp, order):
     """Rounds that pop a one-transition set whose tail is alone in its
     block: the rounds whose split in ``Refinement.run`` is trivial."""
     skips = 0
 
     def hook(r):
         nonlocal skips
-        pending = list(r.unready)
-        p = pending[-1] if worklist == "lifo" else pending[0]
+        p = r.unready[-1]
         f = r.trp.first[p]
         if r.trp.end[p] - f == 1:
             b = r.brp.set_of(dp.tails[r.trp.elems[f]])
             skips += r.brp.size(b) == 1
 
-    Refinement(dp, worklist=worklist).run(hook)
+    Refinement(dp).run(_after(order, hook))
     return skips
 
 
@@ -313,8 +336,8 @@ def test_no_transition_set_is_built_when_every_label_set_differs():
         assert stats.initial_blocks == dp.n == stats.splits + 1
 
 
-@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
-def test_refinement_loop_matches_call_per_split_reference(worklist):
+@ORDERS
+def test_refinement_loop_matches_call_per_split_reference(order):
     covered = set()
     for d in _refinement_cases():
         dp = restrict(d, relevant_states(d))
@@ -322,13 +345,13 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
             continue
         runs = []
         for cls in (Refinement, ReferenceRefinement):
-            ref = cls(dp, worklist=worklist)
+            ref = cls(dp)
             initial_blocks = ref.brp.sets
             initial_sets = ref.trp.sets
             queued = initial_sets - len(_largest_of_each_label(ref))
             rounds = []
-            ref.run(lambda r: rounds.append(
-                (list(r.unready), partition_sets(r.brp), r.brp.sets - 1)))
+            ref.run(_after(order, lambda r: rounds.append(
+                (list(r.unready), partition_sets(r.brp), r.brp.sets - 1))))
             runs.append((rounds, _refinement_result(ref)))
         assert runs[0] == runs[1]
         # The reference counts the real splits that it makes itself.
@@ -347,7 +370,7 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
             covered.add("retired a transition")
         if dp.n == 1 and dp.m == 0:
             covered.add("n=1, m=0")
-        if _one_transition_skips(dp, worklist):
+        if _one_transition_skips(dp, order):
             covered.add("one-transition skips")
         if dp.alpha == 1:
             covered.add("alpha=1")
@@ -358,17 +381,16 @@ def test_refinement_loop_matches_call_per_split_reference(worklist):
                        "retired a transition"}
 
 
-@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
-def test_refinement_with_shared_in_index_matches_own_index(worklist):
+@ORDERS
+def test_refinement_with_shared_in_index_matches_own_index(order):
     for d in _refinement_cases():
         dp = restrict(d, relevant_states(d))
         if not dp.finals:
             continue
-        shared = Refinement(dp, worklist=worklist,
-                            in_index=bucket_by(dp.heads, dp.n))
-        own = Refinement(dp, worklist=worklist)
-        shared.run()
-        own.run()
+        shared = Refinement(dp, in_index=bucket_by(dp.heads, dp.n))
+        own = Refinement(dp)
+        shared.run(order)
+        own.run(order)
         assert _refinement_result(shared) == _refinement_result(own)
 
 
@@ -377,8 +399,8 @@ def _blocks_as_sets(brp) -> set:
             for b in range(brp.sets)}
 
 
-@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
-def test_largest_set_of_each_label_left_off_gives_the_same_blocks(worklist):
+@ORDERS
+def test_largest_set_of_each_label_left_off_gives_the_same_blocks(order):
     # The start that queued every initial set is a second refinement
     # with the sets that the start leaves off appended to its worklist.
     # Both end in the same blocks and give the same output, on the
@@ -390,11 +412,11 @@ def test_largest_set_of_each_label_left_off_gives_the_same_blocks(worklist):
         dp = restrict(d, relevant_states(d))
         if not dp.finals:
             continue
-        ref = Refinement(dp, worklist=worklist)
+        ref = Refinement(dp)
         trp = ref.trp
         if not trp.sets:
             continue  # no set was built, so none is left off
-        old = Refinement(dp, worklist=worklist)
+        old = Refinement(dp)
         largest = _largest_of_each_label(ref)
         skipped = set(range(trp.sets)) - set(ref.unready)
         assert skipped == set(largest.values())
@@ -405,8 +427,8 @@ def test_largest_set_of_each_label_left_off_gives_the_same_blocks(worklist):
                            for q in ref.unready)
                 alone_labels += 1
         old.unready.extend(sorted(skipped))
-        ref.run()
-        old.run()
+        ref.run(order)
+        old.run(order)
         assert _blocks_as_sets(ref.brp) == _blocks_as_sets(old.brp)
         assert (canonicalize(dp, list(ref.brp.sidx))
                 == canonicalize(dp, list(old.brp.sidx)))
@@ -416,23 +438,37 @@ def test_largest_set_of_each_label_left_off_gives_the_same_blocks(worklist):
     assert touches["left off"] < touches["queued"]
 
 
-@pytest.mark.parametrize("worklist", ["lifo", "fifo"])
-def test_each_round_pops_the_end_of_the_worklist_its_order_names(worklist):
+@ORDERS
+def test_each_round_pops_the_end_of_the_worklist_its_order_names(order):
     # The hook sees the pending sets before each round's pop, and a
-    # round appends the sets it creates, so the next round's list
-    # starts with this one's less the popped set: the last under LIFO,
-    # the first under FIFO.
+    # round pops the end of the worklist as the order left it and
+    # appends the sets it creates, so the next round's list starts with
+    # this one's less the popped set: the last by default, the first
+    # under fifo_order.
     rounds_with_choice = 0
     for d in _refinement_cases():
         dp = restrict(d, relevant_states(d))
         if not dp.finals:
             continue
         seen = []
-        Refinement(dp, worklist=worklist).run(
-            lambda r: seen.append(list(r.unready)))
-        for before, after in zip(seen, seen[1:]):
-            rest = before[:-1] if worklist == "lifo" else before[1:]
-            assert after[:len(rest)] == rest
+
+        def hook(r):
+            before = list(r.unready)
+            if order is not None:
+                order(r)
+            seen.append((before, r.unready[-1]))
+
+        Refinement(dp).run(hook)
+        for (before, popped), (after, _) in zip(seen, seen[1:]):
+            if order is None:
+                rest = before[:-1]
+                assert popped == before[-1]
+            else:
+                rest = before[1:]
+                assert popped == before[0]
+            # A popped set leaves the worklist for good: a set that
+            # splits later queues only its fresh part.
+            assert after[:len(rest)] == rest and popped not in after
             rounds_with_choice += len(before) > 1
     assert rounds_with_choice > 1000
 
@@ -510,13 +546,8 @@ def test_minimize_preserves_acceptance_short_words():
 
 def test_lifo_and_fifo_worklists_agree():
     for d in _random_cases(150, seed_base=8000):
-        assert serialize(minimize(d, worklist="lifo")) == \
-            serialize(minimize(d, worklist="fifo"))
-
-
-def test_unknown_worklist_rejected():
-    with pytest.raises(ValueError):
-        minimize(generate(3, 2, 0.5, 1, seed=0), worklist="sorted")
+        assert serialize(minimize(d)) == \
+            serialize(minimize_with_stats(d, loop_hook=fifo_order)[0])
 
 
 def test_counter_bounds_on_random_instances():
@@ -588,7 +619,7 @@ def test_worklist_invariant_holds_at_every_round():
                       rng.choice([0.4, 0.8]), rng.randrange(0, n + 1),
                       seed=11_000 + i) for i in range(60)]
     rounds = first_rounds_skipping = 0
-    for worklist in ("lifo", "fifo"):
+    for order in (None, fifo_order):
         for d in chain(cases, iter_tiny_dfas()):
             checked = []
 
@@ -598,7 +629,7 @@ def test_worklist_invariant_holds_at_every_round():
                     first_rounds_skipping += 1
                 checked.append(worklist_invariant_ok(ref))
 
-            final_blocks(d, worklist=worklist, loop_hook=hook)
+            final_blocks(d, loop_hook=_after(order, hook))
             assert all(checked)
             rounds += len(checked)
     assert rounds > 9000 and first_rounds_skipping > 8000
@@ -634,6 +665,43 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
     assert [wrong for wrong, _ in rounds] == [set(), {(2, 0)}]
 
 
+def test_random_worklist_orders_end_where_the_default_order_does():
+    # The refinement may pop its pending sets in any order.  Shuffled
+    # before every round, by three seeds each, small random inputs and
+    # merge_heavy's seed-7 input 0 give the default run's output bytes
+    # and splits, within the scan bounds; on the small inputs the
+    # worklist invariant holds at every round.
+    rng = random.Random(14)
+    cases = [generate(n := rng.randrange(8, 21), rng.randrange(1, 4),
+                      rng.choice([0.8, 1.0]), rng.randrange(0, n + 1),
+                      seed=14_000 + i) for i in range(30)]
+    heavy = parse(benchmark_workloads().make_pool("merge_heavy", 7)[0].text)
+    checked_rounds = 0
+    touches = set()
+    for i, d in enumerate(cases + [heavy]):
+        out, stats = minimize_with_stats(d)
+        for k in range(3):
+            shuffle = shuffled_order(100 * i + k)
+            checked = []
+
+            def hook(ref):
+                shuffle(ref)
+                if d is not heavy:
+                    checked.append(worklist_invariant_ok(ref))
+
+            got, got_stats = minimize_with_stats(d, loop_hook=hook)
+            assert serialize(got) == serialize(out)
+            assert got_stats.splits == stats.splits
+            assert got_stats.within_scan_bounds(), got_stats
+            assert all(checked)
+            checked_rounds += len(checked)
+            if d is heavy:
+                touches.add(got_stats.small_half_touches)
+    assert checked_rounds > 300
+    # The shuffles are not the default order: they rescan other halves.
+    assert len(touches | {stats.small_half_touches}) > 1
+
+
 def test_minimize_allocates_nothing_per_label():
     d = PtDfa.from_triples(2, 10**7, [(0, 10**7 - 1, 1)], 0, {1})
     tracemalloc.start()
@@ -645,6 +713,119 @@ def test_minimize_allocates_nothing_per_label():
         tracemalloc.stop()
     assert out == d
     assert peak < 2**20
+
+
+ALPHA_MAX = 2**31 - 1
+
+
+def _labels_from_257(d, alpha, step):
+    """``d`` over the alphabet 0..alpha-1, its used labels mapped in
+    order onto 257, 257 + step, 257 + 2 * step, ...: above the small
+    ints that CPython caches, so neither alphabet gets shared label
+    objects that the other lacks.  The map keeps the label order, and
+    with it the (tail, label) order of the transitions and the
+    canonical order of the output."""
+    new = {a: 257 + i * step for i, a in enumerate(sorted(set(d.labels)))}
+    return PtDfa(d.n, alpha, d.tails, array("i", map(new.__getitem__,
+                                                      d.labels)),
+                 d.heads, d.initial, d.finals)
+
+
+def _alphabet_pairs():
+    """A random sparse automaton, a small word trie and a small unrolled
+    ring, each with its used labels back to back over alpha = 257 +
+    (their number), and spread out over alpha = ALPHA_MAX."""
+    bench = benchmark_workloads()
+    for d in (generate(300, 300, 0.1, 150, seed=16),
+              bench.prefix_tree(bench.lexicon_words(16, stems=60)),
+              bench.unroll(generate(12, 4, 0.7, 6, seed=16), 30)):
+        used = len(set(d.labels))
+        yield (_labels_from_257(d, 257 + used, 1),
+               _labels_from_257(d, ALPHA_MAX, (ALPHA_MAX - 258) // used))
+
+
+def _line_events(d) -> Counter:
+    """The Python line events of ``minimize_with_stats(d)``, per code
+    object."""
+    events = Counter()
+
+    def call(frame, event, arg):
+        code = frame.f_code
+
+        def line(frame, event, arg):
+            if event == "line":
+                events[code] += 1
+            return line
+
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        minimize_with_stats(d)
+    finally:
+        sys.settrace(outer)
+    return events
+
+
+def _traced_peak(d) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        minimize_with_stats(d)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def alphabet_peaks(side: int) -> list:
+    """The traced peak of ``minimize_with_stats`` on each input of
+    ``_alphabet_pairs``, over the narrow (0) or the wide (1) alphabet,
+    after one untraced run.  Each side runs in a process of its own:
+    within one process the peak of the same run drifts by some bytes
+    over its first few dozen calls, with the allocator's state."""
+    peaks = []
+    for pair in _alphabet_pairs():
+        minimize_with_stats(pair[side])
+        peaks.append(_traced_peak(pair[side]))
+    return peaks
+
+
+def test_minimize_does_the_same_work_at_any_alphabet_size():
+    # The paper's claim: time does not depend on alpha.  Over the narrow
+    # and the wide alphabet, minimize_with_stats gives the same output
+    # up to the label map, the same counters, the same line events in
+    # every function and the same traced peak.  The completed-table
+    # baseline is the contrast: its reverse index grows by 8 bytes per
+    # (state or sink, label) cell as alpha doubles.
+    same = [f.name for f in fields(MinimizeStats)
+            if f.name not in ("alpha", "seconds", "phases")]
+    for narrow, wide in _alphabet_pairs():
+        out_n, stats_n = minimize_with_stats(narrow)
+        out_w, stats_w = minimize_with_stats(wide)
+        step = (ALPHA_MAX - 258) // (narrow.alpha - 257)
+        assert _labels_from_257(out_n, ALPHA_MAX, step) == out_w
+        assert (stats_n.alpha, stats_w.alpha) == (narrow.alpha, ALPHA_MAX)
+        assert ([getattr(stats_n, f) for f in same]
+                == [getattr(stats_w, f) for f in same])
+        assert _line_events(narrow) == _line_events(wide)
+        # The two int32 arrays that sink_complete keeps (see
+        # test_sink_complete_retains_only_the_reverse_index).
+        index_bytes = [sum(map(sys.getsizeof, (c.inv_elems, c.inv_offsets)))
+                       for c in (sink_complete(replace(narrow, alpha=alpha))
+                                 for alpha in (narrow.alpha,
+                                               2 * narrow.alpha))]
+        assert (index_bytes[1] - index_bytes[0]
+                == 8 * (narrow.n + 1) * narrow.alpha)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    peaks = [subprocess.run(
+        [sys.executable, "-c", "from test_minimizer import alphabet_peaks; "
+         f"print(alphabet_peaks({side}))"],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=120).stdout for side in (0, 1)]
+    assert peaks[0] == peaks[1]
 
 
 # The ``ptdfa.minimizer`` names that the benchmark's layer trace wraps

@@ -1,16 +1,19 @@
 """Outputs and counters of ``minimize`` on the benchmark's input pools.
 
 ``tests/data/parity.json`` holds, for each input of the seed-7 pool of
-every benchmark workload, the sha256 of the input text and, for the
-LIFO and the FIFO worklist, the sha256 of the canonical output, the
-run's counters and the final state of both partitions' counters.  Under
-``hopcroft`` it holds the same for the completed-table baseline, run on
-the input the benchmark gives it (``Input.hopcroft_text``, the compact
-relabeling on ``lexicon_unicode``): the input's and the output's
-sha256, ``splits``, the reverse-index touches (``splitter_touches``),
-``n_core`` and ``m_core``.  None of them depends on a clock, so a
-change meant to keep the output and the work of a run must keep every
-value.  The inputs are built by the benchmark's own constructors in
+every benchmark workload, the sha256 of the input text and, for two
+worklist orders, the sha256 of the canonical output, the run's counters
+and the final state of both partitions' counters.  The ``lifo`` records
+are the default order; the ``fifo`` records take the pending sets first
+in, first out, through the ``fifo_order`` round hook of
+``tests/helpers.py``.  Under ``hopcroft`` it holds the same for the
+completed-table baseline, run on the input the benchmark gives it
+(``Input.hopcroft_text``, the compact relabeling on
+``lexicon_unicode``): the input's and the output's sha256, ``splits``,
+the reverse-index touches (``splitter_touches``), ``n_core`` and
+``m_core``.  None of them depends on a clock, so a change meant to
+keep the output and the work of a run must keep every value.  The
+inputs are built by the benchmark's own constructors in
 ``perfbench/workloads.py``, loaded by path and left as they are.
 
 Regenerate the fixture, after a change that is meant to move it, with
@@ -19,29 +22,19 @@ Regenerate the fixture, after a change that is meant to move it, with
 """
 
 import hashlib
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
 from ptdfa import (hopcroft_minimize, minimize_with_stats, minimizer, parse,
                    serialize)
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, benchmark_workloads, fifo_order
+
 FIXTURE = ROOT / "tests" / "data" / "parity.json"
 WORKLOADS = ("random_sparse", "merge_heavy", "lexicon_unicode")
 SEED = 7
-
-
-def _pool(workload: str) -> list:
-    """The inputs of ``workload``'s pool for :data:`SEED`."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make_pool(workload, SEED)
 
 
 def _sha256(text: str) -> str:
@@ -60,13 +53,13 @@ class _Recorded(minimizer.Refinement):
         self.made.append(self)
 
 
-def _run(text: str, worklist: str) -> dict:
+def _run(text: str, order) -> dict:
     d = parse(text)
     _Recorded.made.clear()
     real = minimizer.Refinement
     minimizer.Refinement = _Recorded
     try:
-        out, stats = minimize_with_stats(d, worklist=worklist)
+        out, stats = minimize_with_stats(d, loop_hook=order)
     finally:
         minimizer.Refinement = real
     ref, = _Recorded.made
@@ -100,10 +93,11 @@ def _run_hopcroft(text: str) -> dict:
 
 def _entries(workload: str) -> dict:
     return {f"{workload}/{i}": {"input_sha256": _sha256(inp.text),
-                                "lifo": _run(inp.text, "lifo"),
-                                "fifo": _run(inp.text, "fifo"),
+                                "lifo": _run(inp.text, None),
+                                "fifo": _run(inp.text, fifo_order),
                                 "hopcroft": _run_hopcroft(inp.hopcroft_text)}
-            for i, inp in enumerate(_pool(workload))}
+            for i, inp in enumerate(
+                benchmark_workloads().make_pool(workload, SEED))}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
