@@ -275,13 +275,19 @@ def parse(text: str) -> PtDfa:
     * n and alpha are at most 2**31 - 1, states lie in 0..n-1, labels in
       0..alpha-1, and no (tail, label) pair appears twice.
 
-    Raises :class:`ParseError`, carrying the 1-based number of the first
-    offending line, for text that breaks the grammar: a wrong character,
-    field count or line count.  Raises :class:`ValidationError` for a
-    number above 2**31 - 1 and for an automaton that breaks the last
-    rule: a header field above 2**31 - 1 is named alone, and otherwise
-    the diagnostics, one per offending record, are those that
-    :func:`validate` gives for the same values.
+    The first fault in this order gives the error, a :class:`ParseError`
+    with the 1-based number of its line unless it says otherwise:
+
+    1. no header line, at line 1;
+    2. a header that is not ``dfa`` and five fields;
+    3. a header field that is not a number;
+    4. a header number above 2**31 - 1: a :class:`ValidationError` that
+       names each such number alone;
+    5. line by line, a data-line field that is not a number, and
+    6. only if the line count is right, a data line of the wrong width;
+    7. a wrong line count, at the last data line;
+    8. a :class:`ValidationError` whose diagnostics, one per offending
+       record, are those that :func:`validate` gives for the same values.
     """
     if "#" in text or "\n\n" in text or text.startswith("\n"):
         # A comment or an empty line: the data lines are picked out and
@@ -296,12 +302,15 @@ def parse(text: str) -> PtDfa:
         first, _, body = text.partition("\n")
         body = body.removesuffix("\n")
     header = first.split(" ")
+    # A numeral of more than 10 digits is above the int32 range, and
+    # int() converts the others at once.
     if not (len(header) == 6 and header[0] == "dfa"
-            and all(_numeral_fault(t) is None and not _above_int32(t)
+            and all(_numeral_fault(t) is None and len(t) <= 10
                     for t in header[1:])):
         raise _text_error(text)
-    n, alpha, m, k, initial = map(int, header[1:])
-    if (body.count("\n") + 1 if body else 0) != m + k:  # the data lines
+    n, alpha, m, k, initial = values = list(map(int, header[1:]))
+    if (max(values) > _INT32_MAX
+            or (body.count("\n") + 1 if body else 0) != m + k):  # the data lines
         raise _text_error(text)
     # Without its digits a transition line is two spaces and a
     # final-state line is empty.
@@ -343,29 +352,6 @@ def _numeral_fault(token: str):
     return None
 
 
-def _above_int32(numeral: str) -> bool:
-    # The length test comes first: int() refuses very long digit strings.
-    return len(numeral) > 10 or int(numeral) > _INT32_MAX
-
-
-def _value(numeral: str, long: dict) -> int:
-    """``int(numeral)``, or, for a numeral too long for ``int()``, a
-    stand-in built in linear time, entered in ``long`` with the text
-    that :func:`_decimal` shows for the number.  The stand-in is the
-    numeral's ASCII bytes read as one big-endian number: one value per
-    numeral, ordered as the numbers are (a numeral has no leading zero,
-    so a longer one has more bytes), and above every number ``int()``
-    converts (a d-digit numeral's stand-in is at least 256**(d-1), and
-    every numeral that ``int()`` converts is shorter)."""
-    try:
-        return int(numeral)
-    except ValueError:
-        digits = len(numeral)
-        stand_in = int.from_bytes(numeral.encode(), "big")
-        long[stand_in] = f"{numeral[:20]}...({digits} digits)"
-        return stand_in
-
-
 def _decimal(value: int) -> str:
     """``value`` in decimal; above 20 digits, its leading 20 digits and
     its digit count.  Unlike ``str`` it also works past Python's digit
@@ -385,52 +371,58 @@ def _decimal(value: int) -> str:
 
 
 def _text_error(text: str) -> AutomatonError:
-    """The error for a text that :func:`parse` refused, found by walking
-    its lines again, once and in order: a :class:`ParseError` at the
-    first line that breaks the grammar (a wrong line count at the last
-    data line), else a :class:`ValidationError`, naming each header field
-    above the int32 range or else giving the diagnostics of
-    :func:`validate` for the numbers of the text."""
+    """The error for a text that :func:`parse` refused: the first fault
+    in the order that :func:`parse` gives, found by walking the lines
+    again, once, with the header as line 0."""
     numbered = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
                 if line and line[0] != "#"]
     if not numbered:
         return ParseError(1, "missing header line")
-    lineno, header = numbered[0]
-    fields = header.split(" ")
-    if len(fields) != 6 or fields[0] != "dfa":
-        return ParseError(lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
-    for token in fields[1:]:
-        if fault := _numeral_fault(token):
-            return ParseError(lineno, fault)
     long = {}
 
     def shown(value):
         return long.get(value) or _decimal(value)
 
-    n, alpha, m, k, initial = values = [_value(t, long) for t in fields[1:]]
-    big = [f"header field {name}={shown(value)} is above the int32 range"
-           for name, value in zip(("n", "alpha", "m", "k", "initial"), values)
-           if value > _INT32_MAX]
-    if big:
-        return ValidationError(big)
-    counted = len(numbered) == 1 + m + k
     numbers = []
-    for i, (lineno, line) in enumerate(numbered[1:]):
+    for i, (lineno, line) in enumerate(numbered):
         tokens = line.split(" ")
+        if i == 0:
+            if len(tokens) != 6 or tokens[0] != "dfa":
+                return ParseError(
+                    lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
+            del tokens[0]
         for token in tokens:
             if fault := _numeral_fault(token):
                 return ParseError(lineno, fault)
-        if not counted:
-            continue
-        if i < m and len(tokens) != 3:
-            return ParseError(
-                lineno, "transition line must be '<tail> <label> <head>'")
-        if i >= m and len(tokens) != 1:
-            return ParseError(lineno, "final-state line must be a single state")
-        numbers += (_value(token, long) for token in tokens)
+        if i > 0:
+            if not counted:  # only the numeral faults can show
+                continue
+            if i <= m and len(tokens) != 3:
+                return ParseError(
+                    lineno, "transition line must be '<tail> <label> <head>'")
+            if i > m and len(tokens) != 1:
+                return ParseError(lineno, "final-state line must be a single state")
+        for token in tokens:
+            try:
+                numbers.append(int(token))
+            except ValueError:
+                # Too long for int(): a stand-in, the ASCII bytes read as
+                # one number.  Numerals have no leading zero, so the
+                # stand-ins order as the numbers do, and lie above every
+                # number that int() converts, which has fewer digits.
+                numbers.append(int.from_bytes(token.encode(), "big"))
+                long[numbers[-1]] = f"{token[:20]}...({len(token)} digits)"
+        if i == 0:
+            big = [f"header field {name}={shown(value)} is above the int32 range"
+                   for name, value in zip(("n", "alpha", "m", "k", "initial"), numbers)
+                   if value > _INT32_MAX]
+            if big:
+                return ValidationError(big)
+            n, alpha, m, k, initial = numbers
+            counted = len(numbered) == 1 + m + k
+            numbers = []
     if not counted:
-        return ParseError(numbered[-1][0],
-                          f"expected {m} transition and {k} final-state lines, "
+        return ParseError(lineno, f"expected {m} transition and {k} final-state lines, "
                           f"found {len(numbered) - 1} data lines")
     end = 3 * m
     diags = _diagnostics(n, alpha, zip(numbers[0:end:3], numbers[1:end:3],

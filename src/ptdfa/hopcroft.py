@@ -57,25 +57,30 @@ def sink_complete(d: PtDfa) -> CompletedDfa:
     cells = total * alpha
     # missing[a * total + q] is 1 when state q has no a-transition.
     missing = bytearray(b"\x01") * cells
-    # offsets[k + 1] counts the predecessors under key k, then becomes
-    # the start of key k + 1; key q * alpha + a is state q, label a.
+    # offsets[k] counts the predecessors under key k (state q, label a
+    # for k = q * alpha + a), and the prefix sum makes it the key's end.
     offsets = array("i", [0]) * (cells + 1)
     for t, a, h in zip(d.tails, d.labels, d.heads):
         missing[a * total + t] = 0
-        offsets[h * alpha + a + 1] += 1
+        offsets[h * alpha + a] += 1
     base = sink * alpha
     for a in range(alpha):
-        offsets[base + a + 1] = missing.count(1, a * total, (a + 1) * total)
-    cursor = array("I", accumulate(offsets))
-    memoryview(offsets).cast("B")[:] = memoryview(cursor).cast("B")
+        offsets[base + a] = missing.count(1, a * total, (a + 1) * total)
+    memoryview(offsets).cast("B")[:] = memoryview(
+        array("I", accumulate(offsets))).cast("B")
+    # Each entry goes just below its key's end, which moves down to the
+    # key's start; the last transition goes first, so each set ascends.
     elems = array("i", [0]) * cells
-    for t, a, h in zip(d.tails, d.labels, d.heads):
+    for t, a, h in zip(reversed(d.tails), reversed(d.labels), reversed(d.heads)):
         k = h * alpha + a
-        elems[cursor[k]] = t
-        cursor[k] += 1
-    del cursor
+        offsets[k] -= 1
+        elems[offsets[k]] = t
+    # No transition enters the sink: each of its keys starts where the
+    # one before ends, the first after the m transitions.
+    offsets[base + 1:cells] = offsets[base:cells - 1]
+    offsets[base] = d.m
     # One int object per state for every label's compress, where a
-    # range would make one per cell; made once the cursor is freed.
+    # range would make one per cell.
     states = list(range(total))
     with memoryview(elems).cast("B") as elem_bytes:
         for a in range(alpha):

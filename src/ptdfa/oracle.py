@@ -32,7 +32,12 @@ def _completed(d: PtDfa):
 
 def language_partition(d: PtDfa) -> list:
     """Class ids per state such that two states share an id exactly when
-    they accept the same language."""
+    they accept the same language.
+
+    The ids are numbered from 0 in order of each class's first state,
+    the sink counted as state n, after every state.  So when every state
+    accepts some word, the sink's class is the last and holds it alone,
+    and the states' ids are exactly 0..k-1 for k classes of states."""
     n, alpha = d.n, d.alpha
     nxt = _completed(d)
     cls = [0] * (n + 1)
@@ -63,21 +68,15 @@ def oracle_minimize(d: PtDfa) -> PtDfa:
         return empty_dfa(d.alpha)
     cls = language_partition(dp)
     # After preprocessing every state accepts something, so no state
-    # shares a class with the sink; dense ids in order of first state.
-    cid = {}
+    # shares the sink's class: the ids are 0..k-1, in order of first
+    # state, and the first state of each class stands for it.
     rep = {}
-    for q in range(dp.n):
-        c = cls[q]
-        if c not in cid:
-            cid[c] = len(cid)
-            rep[c] = q
-    triples = []
-    for t, a, h in zip(dp.tails, dp.labels, dp.heads):
-        if rep[cls[t]] == t:
-            triples.append((cid[cls[t]], a, cid[cls[h]]))
-    finals = {cid[cls[q]] for q in dp.finals}
-    out = PtDfa.from_triples(len(cid), dp.alpha, triples, cid[cls[dp.initial]],
-                             finals)
+    for q, c in enumerate(cls):
+        rep.setdefault(c, q)
+    triples = [(cls[t], a, cls[h]) for t, a, h in zip(dp.tails, dp.labels, dp.heads)
+               if rep[cls[t]] == t]
+    out = PtDfa.from_triples(len(rep), dp.alpha, triples, cls[dp.initial],
+                             {cls[q] for q in dp.finals})
     return canonicalize(out)
 
 

@@ -1,15 +1,17 @@
 """Shared test utilities: a partition's buffers as int32 arrays, its
-sets as lists, a naive reference partition, the line-by-line reference
-parser, the sort-every-time reference serializer, a plain breadth-first
-reference renumbering, the one-step-per-transition reference label
-grouping, the call-per-split reference refinement loop, worklist
-orders other than the default, the cell-by-cell reference completion
-and completed-table refinement, the state-by-state reference keep set,
-brute-force language tools, the exhaustive tiny-automaton sweep, and
-the benchmark's input constructors."""
+sets as lists, a naive reference partition, the strict line-by-line
+reference parser and the seeded edits of canonical texts that it is
+compared with ``parse`` on, the sort-every-time reference serializer, a
+plain breadth-first reference renumbering, the one-step-per-transition
+reference label grouping, the call-per-split reference refinement loop,
+worklist orders other than the default, the cell-by-cell reference
+completion and completed-table refinement, the state-by-state reference
+keep set, brute-force language tools, the exhaustive tiny-automaton
+sweep, and the benchmark's input constructors."""
 
 import importlib.util
 import random
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,8 +19,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from ptdfa import (
-    ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError, ValidationError, hopcroft_minimize,
-    minimize_with_stats,
+    ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError,
+    ValidationError, generate, hopcroft_minimize, minimize_with_stats, serialize,
 )
 from ptdfa.automaton import bucket_by
 from ptdfa.hopcroft import CompletedDfa
@@ -149,48 +151,187 @@ def reference_validate(n, alpha, transitions, initial, finals):
     return PtDfa.from_triples(n, alpha, triples, initial, finals)
 
 
-def _int_token(token: str, lineno: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(lineno, f"expected an integer, got {token!r}") from None
+_INT32_MAX = 2**31 - 1
+_NUMERAL = "(?:0|[1-9][0-9]*)"
+# One pattern per line kind.  A header is matched by its shape alone,
+# so that a fault in one of its numerals is named as such.
+_SKIPPED = re.compile("(?:#.*)?")  # a comment or an empty line
+_HEADER = re.compile("dfa( [^ ]*){5}")
+_TRANSITION = re.compile(f"{_NUMERAL} {_NUMERAL} {_NUMERAL}")
+_FINAL = re.compile(_NUMERAL)
+
+
+def _check_numerals(lineno: int, tokens: list) -> None:
+    """Raise the ParseError of the first token that is not a numeral."""
+    for token in tokens:
+        if not token:
+            raise ParseError(lineno, "fields must be separated by single spaces")
+        if not re.fullmatch("[0-9]+", token):
+            raise ParseError(lineno, f"expected a decimal number, got {token!r}")
+        if not _FINAL.fullmatch(token):
+            raise ParseError(lineno, f"leading zero in {token!r}")
+
+
+def _magnitude(numeral: str) -> tuple:
+    """Numerals without a leading zero compare as their numbers do: by
+    length, then digit by digit.  No numeral is converted, however long."""
+    return len(numeral), numeral
+
+
+def _below(numeral: str, limit: int) -> bool:
+    return _magnitude(numeral) < _magnitude(str(limit))
+
+
+def _shown(numeral: str) -> str:
+    if len(numeral) <= 20:
+        return numeral
+    return f"{numeral[:20]}...({len(numeral)} digits)"
 
 
 def reference_parse(text: str):
-    """Line-by-line reference for ``parse``.  It tokenizes each line on
-    any whitespace and accepts whatever ``int`` accepts, so it agrees
-    with ``parse`` on well-formed text only."""
-    rows = []
-    last_line = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-        last_line = lineno
-    if not rows:
+    """Strict line-by-line reference for ``parse`` of the documented
+    grammar.  Each line is a comment or empty, or matched by the pattern
+    of its kind, and the faults are reported in the documented order:
+    a missing header, the header's shape, its numerals, a header number
+    above the int32 range (named alone), then line by line a data line's
+    first numeral fault and, only when the line count is right, its
+    width; then a wrong count, at the last data line; and last the
+    diagnostics of ``validate``, each number shown from its numeral."""
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
+             if not _SKIPPED.fullmatch(line)]
+    if not lines:
         raise ParseError(1, "missing header line")
-    lineno, header = rows[0]
-    if len(header) != 6 or header[0] != "dfa":
+    (lineno, header), data = lines[0], lines[1:]
+    if not _HEADER.fullmatch(header):
         raise ParseError(lineno, "header must be 'dfa <n> <alpha> <m> <k> <initial>'")
-    n, alpha, m, k, initial = (_int_token(tok, lineno) for tok in header[1:])
-    if m < 0 or k < 0:
-        raise ParseError(lineno, "negative transition or final count")
-    if len(rows) != 1 + m + k:
-        raise ParseError(last_line,
-                         f"expected {m} transition and {k} final-state lines, "
-                         f"found {len(rows) - 1} data lines")
-    triples = []
-    for lineno, tokens in rows[1:1 + m]:
-        if len(tokens) != 3:
+    numerals = header.split(" ")[1:]
+    _check_numerals(lineno, numerals)
+    big = [f"header field {name}={_shown(numeral)} is above the int32 range"
+           for name, numeral in zip(("n", "alpha", "m", "k", "initial"), numerals)
+           if not _below(numeral, _INT32_MAX + 1)]
+    if big:
+        raise ValidationError(big)
+    n, alpha, m, k, initial = map(int, numerals)
+    counted = len(data) == m + k
+    for i, (lineno, line) in enumerate(data):
+        _check_numerals(lineno, line.split(" "))
+        if counted and i < m and not _TRANSITION.fullmatch(line):
             raise ParseError(lineno, "transition line must be '<tail> <label> <head>'")
-        triples.append(tuple(_int_token(tok, lineno) for tok in tokens))
-    finals = []
-    for lineno, tokens in rows[1 + m:]:
-        if len(tokens) != 1:
+        if counted and i >= m and not _FINAL.fullmatch(line):
             raise ParseError(lineno, "final-state line must be a single state")
-        finals.append(_int_token(tokens[0], lineno))
-    return reference_validate(n, alpha, triples, initial, finals)
+    if not counted:
+        raise ParseError(lines[-1][0], f"expected {m} transition and {k} final-state "
+                         f"lines, found {len(data)} data lines")
+    rows = [line.split(" ") for _, line in data]
+    triples, finals = rows[:m], [row[0] for row in rows[m:]]
+    diags = []
+    if n < 1:
+        diags.append(f"empty state set (n={n})")
+    elif not initial < n:
+        diags.append(f"initial state {initial} out of range 0..{n - 1}")
+    for q in sorted(set(finals), key=_magnitude):
+        if not _below(q, n):
+            diags.append(f"final state {_shown(q)} out of range 0..{n - 1}")
+    seen = set()
+    for i, (t, a, h) in enumerate(triples):
+        for name, numeral, limit in (("tail", t, n), ("label", a, alpha),
+                                     ("head", h, n)):
+            if not _below(numeral, limit):
+                diags.append(f"{name} {_shown(numeral)} out of range in "
+                             f"transition #{i}")
+        if (t, a) in seen:
+            diags.append(f"duplicate transition key (tail={_shown(t)}, "
+                         f"label={_shown(a)}) at transition #{i}")
+        seen.add((t, a))
+    if diags:
+        raise ValidationError(diags)
+    return PtDfa.from_triples(n, alpha, [tuple(map(int, row)) for row in triples],
+                              initial, map(int, finals))
+
+
+# Numerals at and around the int32 edge, one too long for int().
+_EDGES = ["0", "2147483646", "2147483647", "2147483648", "4294967296",
+          "99999999999", "1" + "0" * 25, "7" * 5000]
+
+
+def _edited(lines: list, rng) -> None:
+    """One seeded edit of a text's lines, in place."""
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    fields = line.split(" ")
+    j = rng.randrange(len(fields))
+    edit = rng.randrange(8)
+    if edit == 0:  # a stray character
+        p = rng.randrange(len(line) + 1)
+        lines[i] = line[:p] + rng.choice(" \t\r#_+-\u0660\u00b2") + line[p:]
+    elif edit == 1:  # a run of LF, or a comment line
+        lines[i:i] = rng.choice([[""] * rng.randint(1, 3), ["#"], ["# 0 0 1"]])
+    elif edit == 2:  # the line commented out, or its CR
+        lines[i] = rng.choice(["#", ""]) + line + rng.choice(["", "\r"])
+    elif edit == 3:  # a leading zero or a sign
+        fields[j] = rng.choice(["0", "00", "+", "-"]) + fields[j]
+    elif edit == 4:
+        fields[j] = rng.choice(_EDGES)
+    elif edit == 5:  # a small number: out of range, or a repeated key
+        fields[j] = str(rng.randrange(6))
+    elif edit == 6:
+        del lines[i]
+    else:
+        lines.insert(i, line)
+    if 3 <= edit <= 5:
+        lines[i] = " ".join(fields)
+
+
+def mutated_texts(seed: int, count: int):
+    """``count`` seeded texts, each the canonical text of a small random
+    automaton with one to three edits: spaces, tabs, CRs, ``#``, runs of
+    LF, leading zeros, signs, ``_``, non-ASCII digits, numbers at the
+    int32 edges, and dropped or doubled lines."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(1, 6)
+        d = generate(n, rng.randrange(1, 4), rng.choice([0.05, 0.3, 0.7]),
+                     rng.randrange(0, n + 1), seed=seed * count + i)
+        lines = serialize(d).split("\n")
+        for _ in range(rng.randint(1, 3)):
+            if not lines:
+                lines.append("")
+            _edited(lines, rng)
+        yield "\n".join(lines)
+
+
+def parse_outcome(parser, text: str):
+    """What ``parser`` makes of ``text``: the PtDfa, or the error's class
+    and message with its line or its diagnostics."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return ParseError, str(exc), exc.line
+    except ValidationError as exc:
+        return ValidationError, str(exc), exc.diagnostics
+
+
+FAULT_CLASSES = ("missing header", "header shape", "header numeral",
+                 "header above int32", "data numeral", "width", "count",
+                 "diagnostics", "accepted")
+
+
+def fault_class(text: str, outcome) -> str:
+    """Which of :data:`FAULT_CLASSES` the outcome of ``text`` is."""
+    if isinstance(outcome, PtDfa):
+        return "accepted"
+    message = outcome[1]
+    for cls, marker in (("missing header", "missing header"),
+                        ("header shape", "header must be"),
+                        ("header above int32", "header field"),
+                        ("width", " line must be"), ("count", "final-state lines")):
+        if marker in message:
+            return cls
+    if outcome[0] is ValidationError:
+        return "diagnostics"
+    header = next(lineno for lineno, line in enumerate(text.split("\n"), 1)
+                  if not _SKIPPED.fullmatch(line))
+    return "header numeral" if outcome[2] == header else "data numeral"
 
 
 def reference_serialize(d: PtDfa) -> str:

@@ -11,6 +11,7 @@ from ptdfa import (
 )
 
 from helpers import (
+    FAULT_CLASSES, fault_class, mutated_texts, parse_outcome,
     reference_canonicalize, reference_parse, reference_serialize,
     reference_validate, step_map, word_run,
 )
@@ -249,6 +250,18 @@ def test_parse_agrees_with_reference_parser():
         # The canonical text is sliced; with a comment and an empty line
         # it is filtered first, and reads as the same automaton.
         assert parse("# c\n" + serialize(d) + "\n") == d
+
+
+def test_parse_agrees_with_reference_on_seeded_edits():
+    # Canonical texts with one to three edits each: parse must give the
+    # strict reference's PtDfa, or its error class, line, message and
+    # diagnostics, and the edits must reach every documented fault.
+    seen = set()
+    for text in mutated_texts(seed=31, count=3000):
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(parse, text) == expected, text
+        seen.add(fault_class(text, expected))
+    assert seen == set(FAULT_CLASSES)
 
 
 def test_validate_diagnostics_match_reference():

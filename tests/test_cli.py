@@ -2,8 +2,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptdfa import (cli, generate, minimize, minimize_with_stats, parse,
+from ptdfa import (PtDfa, cli, generate, minimize, minimize_with_stats, parse,
                    serialize)
+
+from helpers import (
+    FAULT_CLASSES, fault_class, mutated_texts, parse_outcome, reference_parse,
+)
 
 HEADER_ONLY = "dfa 1 1 0 0 0\n"
 
@@ -73,6 +77,26 @@ def test_minimize_input_not_utf8_exits_1(tmp_path: Path):
     r = run_cli("minimize", "--in", str(src))
     assert r.returncode == 1
     assert r.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_minimize_in_process_on_every_fault_class(tmp_path: Path, capsys):
+    # The first text of each documented fault among the seeded edits
+    # that parse is checked against, and the first small one accepted.
+    sample = {}
+    for text in mutated_texts(seed=31, count=3000):
+        outcome = parse_outcome(reference_parse, text)
+        if not isinstance(outcome, PtDfa) or outcome.n < 100:
+            sample.setdefault(fault_class(text, outcome), (text, outcome))
+    assert set(sample) == set(FAULT_CLASSES)
+    src = tmp_path / "in.dfa"
+    for text, outcome in sample.values():
+        src.write_bytes(text.encode())
+        code = cli.main(["minimize", "--in", str(src)])
+        if isinstance(outcome, PtDfa):
+            expected = (0, serialize(minimize(outcome)), "")
+        else:
+            expected = (1, "", f"error: {outcome[1]}\n")
+        assert (code, *capsys.readouterr()) == expected, text
 
 
 def test_minimize_unknown_flag_exits_2():

@@ -58,6 +58,21 @@ def test_language_partition_groups_by_language():
     assert cls[1] == cls[2] != cls[0]
 
 
+def test_language_partition_numbers_classes_in_order_of_first_state():
+    # oracle_minimize takes the ids of a trimmed automaton as its
+    # quotient's states, with no renumbering: they must be 0..k-1, each
+    # class numbered when its first state comes.  Untrimmed, the sink's
+    # class may hold states too, and the order still holds.
+    rng = random.Random(57)
+    for i in range(300):
+        n = rng.randrange(1, 30)
+        d = generate(n, rng.randrange(1, 4), rng.choice([0.1, 0.3, 0.6, 1.0]),
+                     rng.randrange(0, n + 1), seed=4700 + i)
+        for e in (d, restrict(d, relevant_states(d))):
+            cls = language_partition(e)
+            assert list(dict.fromkeys(cls)) == list(range(len(set(cls))))
+
+
 def test_oracle_sizes_match_word_enumeration_exhaustively():
     report = tiny_sweep_report()
     assert report.total == 33652
