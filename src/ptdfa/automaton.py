@@ -38,6 +38,9 @@ __all__ = [
 
 _INT32_MAX = 2**31 - 1  # indices and counts live in array("i")
 _CHUNK = 4096  # transitions per format call of serialize
+# The most signature rounds that the two-partition refiner makes before
+# it builds its worklist (ptdfa.minimizer).
+_ROUNDS = 3
 
 
 class AutomatonError(ValueError):
@@ -509,23 +512,32 @@ def canonicalize(d: PtDfa, blocks=None) -> PtDfa:
     tails as one int32 repetition, its labels as one slice and its new
     heads as one C-level map.
     """
-    labels, heads, first = d.labels, d.heads, d.out_first
-    block_of = rep = range(d.n)
-    block = None
     if blocks is not None:
-        block_of = blocks
         # Every index is typed, in one C-level pass: a non-int equal to
         # an int index (True, 1.0) must not be read as that index.
         if not set(map(type, blocks)) <= {int}:
             bad = next(b for b in blocks if type(b) is not int)
             raise AutomatonError(f"block index {bad!r} is not an int")
-        rep = dict(zip(blocks, range(d.n)))  # the last member of each block
         # The k distinct ints are 0..k-1 exactly when they lie in it.
-        if len(blocks) != d.n or min(rep) < 0 or max(rep) >= len(rep):
+        distinct = set(blocks)
+        if (len(blocks) != d.n or min(distinct) < 0
+                or max(distinct) >= len(distinct)):
             raise AutomatonError(f"blocks must map {d.n} states to 0..k-1")
+    return _canonical(d, blocks)
+
+
+def _canonical(d: PtDfa, blocks=None) -> PtDfa:
+    """:func:`canonicalize` without its checks of ``blocks``, which must
+    be ints numbered densely 0..k-1, as a refiner's own final blocks
+    are."""
+    labels, heads, first = d.labels, d.heads, d.out_first
+    block_of = rep = range(d.n)
+    block = None
+    if blocks is not None:
+        block_of = blocks
+        rep = dict(zip(blocks, range(d.n)))  # the last member of each block
         block = blocks.__getitem__
     k = len(rep)
-
     initial = block_of[d.initial]
     new_of = [-1] * k
     new_of[initial] = 0
@@ -596,11 +608,15 @@ class MinimizeStats:
 
     ``n_core``/``m_core`` are the sizes after dead-state removal;
     ``initial_blocks`` is the number of blocks that the two-partition
-    refinement starts from, None for the other algorithms and when no
-    refinement ran; ``splits`` is the final block count less one; the
-    scan counters are bounded by them: splitter scan touches stay within
-    m*(floor(lg n) + 1) and smaller-half rescan touches within
-    m*floor(lg n) + m.  ``phases`` maps each step of the minimization
+    refinement starts from and ``signature_rounds`` the number of
+    signature rounds that it makes before any worklist, an abandoned one
+    included, at most ``_ROUNDS``; both are None for the other
+    algorithms and when no refinement ran.  ``splits`` is the final
+    block count less one; the scan counters are bounded by them:
+    splitter scan touches stay within m*(floor(lg n) + 1) and
+    smaller-half rescan touches within m*floor(lg n) + m.  They count
+    the worklist's own work, and read 0 when the signature rounds
+    settle the partition.  ``phases`` maps each step of the minimization
     pipeline (``preprocess``, ``refine``, ``canonicalize``, and for the
     completed-table baseline ``complete`` before ``refine``) to its
     seconds; the phases add up to ``seconds``.  A counter that an
@@ -615,6 +631,7 @@ class MinimizeStats:
     n_core: int = 0
     m_core: int = 0
     initial_blocks: int = None
+    signature_rounds: int = None
     splits: int = 0
     splitter_touches: int = 0
     small_half_touches: int = 0
@@ -622,8 +639,10 @@ class MinimizeStats:
     phases: dict = field(default_factory=dict)
 
     def within_scan_bounds(self) -> bool:
-        """Check the two-partition refiner's worst-case scan counts; a
-        ``ValueError`` names each counter that the run did not measure."""
+        """Check the two-partition refiner's worst-case scan counts, and
+        that it made at most ``_ROUNDS`` signature rounds; a
+        ``ValueError`` names each scan counter that the run did not
+        measure."""
         if missing := [f for f in ("n_core", "m_core", "splitter_touches",
                                    "small_half_touches")
                        if getattr(self, f) is None]:
@@ -631,7 +650,8 @@ class MinimizeStats:
                              "which this run did not measure")
         lg = self.n_core.bit_length() - 1
         return (self.splitter_touches <= self.m_core * (lg + 1)
-                and self.small_half_touches <= self.m_core * lg + self.m_core)
+                and self.small_half_touches <= self.m_core * lg + self.m_core
+                and (self.signature_rounds or 0) <= _ROUNDS)
 
     def as_lines(self) -> list:
         """key=value lines for diagnostic output: the measured counters

@@ -74,6 +74,32 @@ both scan bounds keep holding: every split still rescans its smaller
 half, and a retired transition is touched at most once more, when the
 set it was left in had already been queued.
 
+Before any of this, the pipeline refines the start by at most
+``_ROUNDS`` (R) signature rounds (Moore 1956; Almeida, Moreira & Reis,
+DCFS 2007, compare Moore's and Hopcroft's algorithms in practice), which
+need neither the in-index nor the transition sets.  A round reads the
+block of the head of each transition into an int32 array and numbers
+each state by its block and the bytes of its slice of that array over
+the out-index, through one dict, all in C-level passes.  The block fixes
+the label set, so the slice is the whole signature.  A round separates
+only states that every stable refinement of the start separates, so a
+round that splits nothing has reached the coarsest stable refinement,
+the blocks that the worklist would reach, and the refinement ends there
+with no in-index, transition set or worklist built.  So it ends on an
+unrolled automaton, whose start already holds nearly all of its final
+blocks, and with no round at all when the start has n blocks.
+
+A round is abandoned once it has found more than k/4 splits, k being its
+block count at the start.  The splits are counted as the new signatures
+beyond the old blocks seen so far, after each chunk of
+``_STATES_PER_COUNT`` states but the last, and the head blocks are read
+chunk by chunk, so an abandoned round costs only the states it
+numbered.  After an abandoned round, or R rounds that still split, the
+worklist runs from the label-set start exactly as above: the rounds
+only read the start, which is built once.  They add at most R(n + m)
+steps, so the run takes O(m lg n + R(n + m)) = O(m lg n) for a constant
+R.
+
 This refinement and the completed-table baseline of
 :mod:`ptdfa.hopcroft` run in one pipeline and differ only in the
 refiner, whose input the baseline first completes: dead-state removal,
@@ -83,17 +109,22 @@ from those blocks, or only renumbers the automaton when no two states
 merged.  The incoming transitions of each state, in the CSR form of the
 out-index (:func:`bucket_by`), are grouped only where a step reads them:
 by the backward search of dead-state removal, which hands them on to
-this refiner when it kept every state, or else by this refiner when its
-start has fewer blocks than states.
+this refiner when it kept every state, or else by this refiner when the
+signature rounds do not settle.
 """
 
 from array import array
+from collections import defaultdict
 from functools import partial
-from itertools import chain, compress
-from operator import itemgetter, sub
+from itertools import chain, compress, count, pairwise, repeat, starmap
+from operator import itemgetter, mul, sub
 from time import perf_counter
 
-from .automaton import MinimizeStats, PtDfa, bucket_by, canonicalize
+from .automaton import _ROUNDS, MinimizeStats, PtDfa, bucket_by
+# The quotient of the refiner's own blocks skips the public function's
+# checks of them, and goes by the name of its layer, as the benchmark's
+# span wraps it.
+from .automaton import _canonical as canonicalize
 # Dead-state removal passes a 0/1 keep mask between its two steps, which
 # go by the names of their layers, the names the benchmark's spans wrap.
 from .preprocess import (_relevant_mask as relevant_states,
@@ -102,6 +133,9 @@ from .refinable_partition import RefinablePartition
 from .splitter_init import init_block_grouping, init_trp_grouping
 
 __all__ = ["Refinement", "minimize", "minimize_with_stats", "final_blocks"]
+
+# States numbered by a signature round between two counts of its splits.
+_STATES_PER_COUNT = 256
 
 
 def _incoming_by_block(brp: RefinablePartition, in_index):
@@ -130,7 +164,10 @@ class Refinement:
     co-reachable, at least one final state.  ``in_index``, if given,
     must be ``bucket_by(dp.heads, dp.n)``, the incoming transitions of
     each state in CSR form; it is built when omitted, unless the
-    initial blocks are single states, which never split.  ``run()``
+    initial blocks are single states, which never split.  ``brp``, if
+    given, must be ``init_block_grouping(dp)`` as built, the one start
+    of every run: the pipeline builds it once, reads it in its signature
+    rounds and hands it on when they do not settle.  ``run()``
     drives the refinement to the fixpoint; the final block of state q is
     ``brp.set_of(q)``, and ``brp.sets`` before ``run()`` is the number
     of initial blocks.
@@ -145,9 +182,11 @@ class Refinement:
     be left off (see the module docstring).
     """
 
-    def __init__(self, dp: PtDfa, in_index=None):
+    def __init__(self, dp: PtDfa, in_index=None, *, brp=None):
         self.dp = dp
-        self.brp = brp = init_block_grouping(dp)
+        if brp is None:
+            brp = init_block_grouping(dp)
+        self.brp = brp
         # The worklist holds up to one entry per transition set.
         self.unready = array("i")
         self.splitter_touches = 0
@@ -375,9 +414,10 @@ def _pipeline(d: PtDfa, refine, complete=None):
     stats, None)`` when a ``complete`` step is given.  The refiner fills
     its counters into ``stats`` and returns the final block of each
     state of ``dp``, numbered densely from 0; the result is the
-    canonical quotient by those blocks, or only ``dp`` renumbered when
-    every block is a single state.  Returns ``(dp, blocks, out,
-    stats)``, with ``blocks`` None when no refinement ran;
+    canonical quotient by those blocks, which are trusted, so the public
+    ``canonicalize``'s checks of them are skipped, or only ``dp``
+    renumbered when every block is a single state.  Returns ``(dp,
+    blocks, out, stats)``, with ``blocks`` None when no refinement ran;
     ``stats.phases`` holds the seconds of the preprocessing, of the
     ``complete`` step if there is one, of the refiner call and of the
     quotient.
@@ -430,17 +470,64 @@ def _pipeline(d: PtDfa, refine, complete=None):
     return dp, blocks, out, stats
 
 
+def _signature_rounds(dp: PtDfa, blocks: list, k: int,
+                      stats: MinimizeStats):
+    """Refine ``blocks``, the k blocks of the label-set start, by at most
+    ``_ROUNDS`` signature rounds (see the module docstring), counted in
+    ``stats.signature_rounds``.  Returns the coarsest stable refinement
+    as ``(block of each state, block count)``, or None when a round was
+    abandoned or the last one still split.  ``blocks`` is only read."""
+    n = dp.n
+    heads = dp.heads
+    first = dp.out_first
+    stats.signature_rounds = 0
+    while k < n:
+        if stats.signature_rounds == _ROUNDS:
+            return None
+        stats.signature_rounds += 1
+        numbers = defaultdict(count().__next__)
+        number = numbers.__getitem__
+        block = blocks.__getitem__
+        new = []
+        seen = set()
+        for lo in range(0, n, _STATES_PER_COUNT):
+            hi = min(lo + _STATES_PER_COUNT, n)
+            f = first[lo]
+            # The head blocks of these states' transitions, as bytes: each
+            # state's slice, with its own block, is its signature.
+            row = array("i", map(block, heads[f:first[hi]])).tobytes()
+            offsets = map(mul, map(sub, first[lo:hi + 1], repeat(f)),
+                          repeat(heads.itemsize))
+            new += map(number, zip(blocks[lo:hi], map(
+                row.__getitem__, starmap(slice, pairwise(offsets)))))
+            seen.update(blocks[lo:hi])
+            if hi < n and 4 * (len(numbers) - len(seen)) > k:
+                return None
+        if len(numbers) == k:
+            break
+        blocks = new
+        k = len(numbers)
+    return blocks, k
+
+
 def _refine(dp: PtDfa, stats: MinimizeStats, in_index, hook) -> list:
-    """The two-partition refiner: the final block of each state."""
-    ref = Refinement(dp, in_index=in_index)
-    stats.initial_blocks = ref.brp.sets
-    ref.run(hook)
+    """The two-partition refiner: the final block of each state, from
+    the signature rounds if they settle, else from the worklist, which
+    starts from the same label-set start."""
+    brp = init_block_grouping(dp)
+    stats.initial_blocks = brp.sets
+    settled = _signature_rounds(dp, brp.sidx, brp.sets, stats)
+    if settled is None:
+        ref = Refinement(dp, in_index, brp=brp)
+        ref.run(hook)
+        settled = ref.brp.sidx, ref.brp.sets
+        stats.splitter_touches = ref.splitter_touches
+        stats.small_half_touches = ref.small_half_touches
+    blocks, k = settled
     # The final block count less one: the separations of the initial
     # partition count as splits, as they did when the run made them.
-    stats.splits = ref.brp.sets - 1
-    stats.splitter_touches = ref.splitter_touches
-    stats.small_half_touches = ref.small_half_touches
-    return ref.brp.sidx
+    stats.splits = k - 1
+    return blocks
 
 
 def minimize_with_stats(d: PtDfa, *, loop_hook=None):
@@ -453,7 +540,8 @@ def minimize_with_stats(d: PtDfa, *, loop_hook=None):
     if given, is called with the :class:`Refinement` at the top of every
     worklist round (see :meth:`Refinement.run`); by reordering
     ``ref.unready`` in place it imposes another processing order, and
-    the result is identical in any order.
+    the result is identical in any order.  It is never called when the
+    signature rounds settle the partition, since no worklist is built.
     """
     _, _, out, stats = _pipeline(d, partial(_refine, hook=loop_hook))
     return out, stats
@@ -471,7 +559,8 @@ def final_blocks(d: PtDfa, *, loop_hook=None):
     Returns ``(dp, blocks, stats)``: the preprocessed automaton, the
     final block index of each of its states (None when the language is
     empty and no refinement ran), and the instrumentation.  ``loop_hook``
-    is as for :func:`minimize_with_stats`.
+    is as for :func:`minimize_with_stats`: it is not called when the
+    signature rounds settle the partition.
     """
     dp, blocks, _, stats = _pipeline(d, partial(_refine, hook=loop_hook))
     return dp, blocks, stats

@@ -4,7 +4,8 @@ reference parser and the seeded edits of canonical texts that it is
 compared with ``parse`` on, the sort-every-time reference serializer, a
 plain breadth-first reference renumbering, the one-step-per-transition
 reference label grouping, the call-per-split reference refinement loop,
-worklist orders other than the default, the cell-by-cell reference
+worklist orders other than the default, inputs on which the signature
+rounds leave the run to the worklist, the cell-by-cell reference
 completion and completed-table refinement, the state-by-state reference
 keep set, brute-force language tools, the exhaustive tiny-automaton
 sweep, and the benchmark's input constructors."""
@@ -22,7 +23,7 @@ from ptdfa import (
     ParseError, PtDfa, RefinablePartition, Refinement, UnreachableStateError,
     ValidationError, generate, hopcroft_minimize, minimize_with_stats, serialize,
 )
-from ptdfa.automaton import bucket_by
+from ptdfa.automaton import _ROUNDS, bucket_by
 from ptdfa.hopcroft import CompletedDfa
 from ptdfa.oracle import oracle_minimize
 
@@ -747,6 +748,30 @@ def minimal_sizes_by_enumeration(d):
             if h is not None and h in rel:
                 m_min += 1
     return len(classes), m_min
+
+
+def with_final_chain(d: PtDfa, length: int = _ROUNDS + 3) -> PtDfa:
+    """``d`` with a one-letter chain of ``length`` + 1 final states.
+
+    A new initial state has the transitions and the finality of the
+    initial state of ``d``, and one more on the fresh label ``d.alpha``
+    into the chain, so every state of ``d`` keeps its language, and the
+    states that ``d`` merges still merge.  The chain's states share one
+    block of the label-set start but the last, and each signature round
+    separates only the next one from the end, so after ``_ROUNDS``
+    rounds the chain still splits and the run falls back to the
+    worklist.  Every state of the chain is final, so the chain adds no
+    dead state and no state without a final successor."""
+    s = d.n
+    c = s + 1
+    entry = [(s, a, h) for t, a, h in d.transitions() if t == d.initial]
+    chain = [(s, d.alpha, c)] + [(c + i, d.alpha, c + i + 1)
+                                  for i in range(length)]
+    finals = set(d.finals) | set(range(c, c + length + 1))
+    if d.initial in d.finals:
+        finals.add(s)
+    return PtDfa.from_triples(c + length + 1, d.alpha + 1,
+                              d.transitions() + entry + chain, s, finals)
 
 
 def fifo_order(ref):

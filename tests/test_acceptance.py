@@ -17,6 +17,7 @@ from ptdfa.preprocess import relevant_states, restrict
 from helpers import (
     ModelPartition, as_int32, assert_agrees, check_partition, fifo_order,
     final_partition_violations, shuffled_order, tiny_sweep_report,
+    with_final_chain,
 )
 
 DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -208,12 +209,24 @@ def test_criterion_7_memory_regime_contrast():
 
 
 def test_criterion_8_deterministic_outputs():
+    # Each input has a final chain, which leaves it past the signature
+    # rounds to the worklist, so that each order is really taken: every
+    # run must pop at least one pending set.
     diffs = 0
     touches = set()
     for seed in range(6):
         def pipeline(order):
-            d = generate(120, 6, 0.3, 60 + seed % 3, seed=seed)
-            out, stats = minimize_with_stats(d, loop_hook=order)
+            d = with_final_chain(generate(120, 6, 0.3, 60 + seed % 3,
+                                          seed=seed))
+            popped = []
+
+            def hook(ref):
+                if order is not None:
+                    order(ref)
+                popped.append(ref.unready[-1])
+
+            out, stats = minimize_with_stats(d, loop_hook=hook)
+            assert popped, seed
             touches.add((seed, stats.splitter_touches))
             return serialize(out)
 

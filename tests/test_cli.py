@@ -148,14 +148,15 @@ def test_minimize_stats_go_to_stderr():
 
 def test_minimize_stats_print_initial_blocks_for_valmari_only():
     text = serialize(generate(40, 3, 0.5, 20, seed=0))
-    initial = minimize_with_stats(parse(text))[1].initial_blocks
-    assert initial > 1
+    measured = minimize_with_stats(parse(text))[1]
+    assert measured.initial_blocks > 1 and measured.signature_rounds > 0
     for algo in ("valmari", "hopcroft", "oracle"):
         r = run_cli("minimize", "--algo", algo, "--stats", stdin=text)
         assert r.returncode == 0
         stats = dict(line.split("=") for line in r.stderr.splitlines())
-        assert stats.get("initial_blocks") == (
-            str(initial) if algo == "valmari" else None)
+        for name in ("initial_blocks", "signature_rounds"):
+            assert stats.get(name) == (
+                str(getattr(measured, name)) if algo == "valmari" else None)
 
 
 def test_generate_deterministic_bytes(tmp_path: Path):

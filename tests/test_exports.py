@@ -30,9 +30,11 @@ def _parameters(f) -> str:
 
 def test_minimizer_signatures_take_no_order_option():
     # The refinement has one worklist order; another is imposed through
-    # loop_hook, never through a parameter.
+    # loop_hook, never through a parameter.  Refinement has one start,
+    # the label-set blocks, which the pipeline builds once and may hand
+    # in as built.
     assert [_parameters(f) for f in (
         ptdfa.minimize, ptdfa.minimize_with_stats, ptdfa.final_blocks,
         ptdfa.Refinement)] == [
         "(d)", "(d, *, loop_hook=None)", "(d, *, loop_hook=None)",
-        "(dp, in_index=None)"]
+        "(dp, in_index=None, *, brp=None)"]

@@ -17,14 +17,14 @@ from ptdfa import (
     sink_complete,
 )
 from ptdfa import automaton, minimizer, preprocess
-from ptdfa.automaton import bucket_by, canonicalize
+from ptdfa.automaton import _ROUNDS, bucket_by, canonicalize
 from ptdfa.oracle import language_partition
 from ptdfa.workload import ALGORITHMS
 
 from helpers import (
     RETIRED, ROOT, ReferenceRefinement, all_words, benchmark_workloads,
     check_partition, fifo_order, final_partition_violations, iter_tiny_dfas,
-    partition_sets, shuffled_order, worklist_invariant_ok,
+    partition_sets, shuffled_order, with_final_chain, worklist_invariant_ok,
 )
 
 
@@ -119,15 +119,18 @@ def test_set_marked_whole_by_the_rescan_keeps_its_index_and_status():
 
 def test_no_round_runs_once_every_block_is_a_single_state():
     # On a minimal input the last split leaves n singleton blocks, and
-    # the run ends there: no round starts on the final partition.
+    # the run ends there: no round starts on the final partition.  The
+    # final chain leaves every input to the worklist, which the
+    # signature rounds would otherwise settle.
     checked = rounds = 0
     for d in _random_cases(120, max_n=12, seed_base=13_000):
         seen = []
         dp, blocks, stats = final_blocks(
-            d, loop_hook=lambda r: seen.append(r.brp.sets == r.dp.n))
+            with_final_chain(d),
+            loop_hook=lambda r: seen.append(r.brp.sets == r.dp.n))
         if blocks is None or stats.n_out != dp.n:
             continue
-        assert not any(seen)
+        assert seen and not any(seen)
         assert stats.within_scan_bounds(), stats
         checked += 1
         rounds += len(seen)
@@ -399,6 +402,14 @@ def _blocks_as_sets(brp) -> set:
             for b in range(brp.sets)}
 
 
+def _blocks_of(block_of) -> set:
+    """The blocks of a block-of-each-state list, as a set of sets."""
+    members = {}
+    for q, b in enumerate(block_of):
+        members.setdefault(b, set()).add(q)
+    return set(map(frozenset, members.values()))
+
+
 @ORDERS
 def test_largest_set_of_each_label_left_off_gives_the_same_blocks(order):
     # The start that queued every initial set is a second refinement
@@ -473,6 +484,110 @@ def test_each_round_pops_the_end_of_the_worklist_its_order_names(order):
     assert rounds_with_choice > 1000
 
 
+# -- signature rounds ---------------------------------------------------------
+
+def _worklist_counters(dp):
+    """(splits, splitter_touches, small_half_touches) of the worklist
+    alone, run from the label-set start of ``dp``."""
+    ref = Refinement(dp)
+    ref.run()
+    return ref.brp.sets - 1, ref.splitter_touches, ref.small_half_touches
+
+
+def test_signature_rounds_settle_an_unrolled_ring(monkeypatch):
+    # merge_heavy's shape, small: 12 copies of a 40-state DFA in a ring,
+    # 480 states, whose label-set start has 39 of its 40 final blocks.
+    # One round splits, the next splits nothing and ends the refinement:
+    # no in-index, transition set or worklist is built.
+    d = benchmark_workloads().unroll(generate(40, 10, 0.71, 20, seed=5), 12)
+    calls = _count_traced_layer_calls(monkeypatch)
+    popped = []
+    dp, blocks, stats = final_blocks(d, loop_hook=popped.append)
+    assert popped == [] and calls == {**dict.fromkeys(TRACED_LAYERS, 0),
+                                      "relevant_states": 1, "restrict": 1,
+                                      "canonicalize": 1}
+    assert (stats.initial_blocks, stats.signature_rounds, stats.splits) == (
+        39, 2, 39)
+    assert stats.splitter_touches == stats.small_half_touches == 0
+    assert stats.within_scan_bounds(), stats
+    assert minimize(d) == oracle_minimize(d)
+    ref = Refinement(dp)
+    ref.run()
+    assert _blocks_as_sets(ref.brp) == _blocks_of(blocks)
+
+
+def test_signature_rounds_give_way_to_the_worklist_on_a_word_trie():
+    # A word trie, relabeled onto its 26 letters: its first round passes
+    # k/4 splits within the first counts of its 1,150 states, and is
+    # abandoned; the worklist then runs from the label-set start and
+    # does exactly its own work.
+    bench = benchmark_workloads()
+    d, _ = bench.compact(bench.prefix_tree(bench.lexicon_words(29, stems=100)))
+    assert d.n > 4 * minimizer._STATES_PER_COUNT
+    out, stats = minimize_with_stats(d)
+    assert stats.signature_rounds == 1
+    assert (stats.splits, stats.splitter_touches,
+            stats.small_half_touches) == _worklist_counters(d)
+    assert stats.splitter_touches > 0
+    assert out == oracle_minimize(d)
+
+
+@pytest.mark.parametrize("n", [20, 4 * minimizer._STATES_PER_COUNT + 50])
+def test_signature_rounds_stop_at_their_cap_on_a_one_letter_chain(n):
+    # A one-letter chain into its one final state: each round splits
+    # off one state, so the rounds would need n of them.  The states
+    # that split lie in the last count of a round, so no round is
+    # abandoned, and after _ROUNDS the worklist runs from the label-set
+    # start.
+    d = PtDfa.from_triples(n, 1, [(q, 0, q + 1) for q in range(n - 1)], 0,
+                           {n - 1})
+    out, stats = minimize_with_stats(d)
+    assert stats.signature_rounds == _ROUNDS
+    assert (stats.splits, stats.splitter_touches,
+            stats.small_half_touches) == _worklist_counters(d)
+    assert stats.splits == n - 1 and stats.splitter_touches > 0
+    assert stats.within_scan_bounds(), stats
+    assert out == oracle_minimize(d)
+
+
+def test_settled_rounds_end_in_the_worklists_blocks():
+    # Over criterion 2's tiny sweep, trimmed, and the refinement cases,
+    # every partition that the signature rounds settle equals the one
+    # that Refinement reaches, as a set of sets.
+    settled = fell_back = 0
+    for d in chain(iter_tiny_dfas(), _refinement_cases()):
+        dp = restrict(d, relevant_states(d))
+        if not dp.finals:
+            continue
+        start = Refinement(dp)
+        stats = MinimizeStats()
+        got = minimizer._signature_rounds(dp, start.brp.sidx,
+                                          start.brp.sets, stats)
+        assert 0 <= stats.signature_rounds <= _ROUNDS
+        start.run()
+        if got is None:
+            fell_back += 1
+            continue
+        blocks, k = got
+        assert k == start.brp.sets
+        assert _blocks_of(blocks) == _blocks_as_sets(start.brp)
+        settled += 1
+    assert settled > 10_000 and fell_back > 10
+
+
+def test_pipeline_quotients_its_own_blocks_without_the_public_checks():
+    # The refiners number their blocks densely themselves, so the
+    # pipeline calls the quotient core; the public canonicalize types
+    # and range-checks the blocks, then calls the same core.
+    assert minimizer.canonicalize is automaton._canonical
+    ring = _ring(generate(6, 2, 0.8, 3, seed=12_501), 4)
+    for d in (ring, with_final_chain(ring)):
+        dp, blocks, _ = final_blocks(d)
+        assert max(blocks) + 1 < dp.n
+        assert canonicalize(dp, blocks) == automaton._canonical(dp, blocks)
+        assert minimize(d) == canonicalize(dp, blocks)
+
+
 # -- minimize -----------------------------------------------------------------
 
 def test_two_state_cycle_all_final_collapses():
@@ -545,9 +660,18 @@ def test_minimize_preserves_acceptance_short_words():
 
 
 def test_lifo_and_fifo_worklists_agree():
-    for d in _random_cases(150, seed_base=8000):
+    # The final chain leaves every input to the worklist, past the
+    # signature rounds.
+    for d in map(with_final_chain, _random_cases(150, seed_base=8000)):
+        pops = []
+
+        def fifo(ref):
+            pops.append(len(ref.unready))
+            fifo_order(ref)
+
         assert serialize(minimize(d)) == \
-            serialize(minimize_with_stats(d, loop_hook=fifo_order)[0])
+            serialize(minimize_with_stats(d, loop_hook=fifo)[0])
+        assert pops
 
 
 def test_counter_bounds_on_random_instances():
@@ -568,14 +692,17 @@ def test_stats_time_each_pipeline_phase():
     empty = PtDfa.from_triples(3, 2, [(0, 0, 1)], 0, set())
     keys = [f.name for f in fields(MinimizeStats) if f.name != "phases"]
     for d in (generate(60, 3, 0.5, 30, seed=124), empty):
-        # The empty language runs no refinement, so no initial blocks.
-        unrefined = ["initial_blocks"] if d is empty else []
+        # The empty language runs no refinement, so no initial blocks and
+        # no signature rounds.
+        unrefined = (["initial_blocks", "signature_rounds"] if d is empty
+                     else [])
         for run, phases, unmeasured in (
                 (minimize_with_stats, ["preprocess", "refine",
                                        "canonicalize"], unrefined),
                 (hopcroft_minimize, ["preprocess", "complete", "refine",
                                      "canonicalize"],
-                 ["initial_blocks", "small_half_touches"])):
+                 ["initial_blocks", "signature_rounds",
+                  "small_half_touches"])):
             _, stats = run(d)
             assert list(stats.phases) == phases
             assert min(stats.phases.values()) >= 0.0
@@ -611,16 +738,30 @@ def test_final_blocks_satisfy_both_partition_conditions():
         assert final_partition_violations(dp, blocks, language_partition(dp)) == 0
 
 
+def _worklist_run(d, hook):
+    """``Refinement.run(hook)`` on ``d`` preprocessed, as the pipeline
+    runs it when the signature rounds do not settle; nothing when the
+    language is empty."""
+    dp = restrict(d, relevant_states(d))
+    if dp.finals:
+        Refinement(dp).run(hook)
+
+
 def test_worklist_invariant_holds_at_every_round():
     # From the first round on, where each label's largest initial set is
-    # not queued, on random inputs and on criterion 2's tiny sweep.
+    # not queued, on random inputs and on criterion 2's tiny sweep, which
+    # the signature rounds settle, so Refinement runs them itself.  The
+    # random inputs with a final chain reach the worklist through the
+    # pipeline.
     rng = random.Random(11)
     cases = [generate(n := rng.randrange(2, 7), rng.randrange(1, 3),
                       rng.choice([0.4, 0.8]), rng.randrange(0, n + 1),
                       seed=11_000 + i) for i in range(60)]
     rounds = first_rounds_skipping = 0
     for order in (None, fifo_order):
-        for d in chain(cases, iter_tiny_dfas()):
+        runs = chain(((False, d) for d in chain(cases, iter_tiny_dfas())),
+                     ((True, with_final_chain(d)) for d in cases))
+        for through_pipeline, d in runs:
             checked = []
 
             def hook(ref):
@@ -629,7 +770,11 @@ def test_worklist_invariant_holds_at_every_round():
                     first_rounds_skipping += 1
                 checked.append(worklist_invariant_ok(ref))
 
-            final_blocks(d, loop_hook=_after(order, hook))
+            if through_pipeline:
+                final_blocks(d, loop_hook=_after(order, hook))
+                assert checked
+            else:
+                _worklist_run(d, _after(order, hook))
             assert all(checked)
             rounds += len(checked)
     assert rounds > 9000 and first_rounds_skipping > 8000
@@ -646,8 +791,11 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
     # starts with 1 -0-> 2, whose head 2 has just split off from state
     # 1, the head of the live member 0 -0-> 1.  The set's pair comes
     # from a live member, not from the first one.
+    # The signature rounds settle this input, so Refinement runs it
+    # itself; every state is relevant.
     d = PtDfa.from_triples(4, 2, [(0, 0, 1), (1, 0, 2), (1, 1, 3), (2, 0, 0),
                                   (2, 1, 2), (3, 0, 0)], 0, {0, 1, 2, 3})
+    assert restrict(d, relevant_states(d)) is d
     rounds = []
 
     def hook(ref):
@@ -660,7 +808,7 @@ def test_worklist_invariant_reads_pairs_past_a_retired_first_member():
         rounds.append((first_pairs - ref.unready_pairs(),
                        worklist_invariant_ok(ref)))
 
-    final_blocks(d, loop_hook=hook)
+    Refinement(d).run(hook)
     assert [ok for _, ok in rounds] == [True, True]
     assert [wrong for wrong, _ in rounds] == [set(), {(2, 0)}]
 
@@ -670,12 +818,14 @@ def test_random_worklist_orders_end_where_the_default_order_does():
     # before every round, by three seeds each, small random inputs and
     # merge_heavy's seed-7 input 0 give the default run's output bytes
     # and splits, within the scan bounds; on the small inputs the
-    # worklist invariant holds at every round.
+    # worklist invariant holds at every round.  Each input has a final
+    # chain, so that the signature rounds leave it to the worklist.
     rng = random.Random(14)
     cases = [generate(n := rng.randrange(8, 21), rng.randrange(1, 4),
                       rng.choice([0.8, 1.0]), rng.randrange(0, n + 1),
                       seed=14_000 + i) for i in range(30)]
     heavy = parse(benchmark_workloads().make_pool("merge_heavy", 7)[0].text)
+    cases, heavy = list(map(with_final_chain, cases)), with_final_chain(heavy)
     checked_rounds = 0
     touches = set()
     for i, d in enumerate(cases + [heavy]):
@@ -683,9 +833,11 @@ def test_random_worklist_orders_end_where_the_default_order_does():
         for k in range(3):
             shuffle = shuffled_order(100 * i + k)
             checked = []
+            shuffles = []
 
             def hook(ref):
                 shuffle(ref)
+                shuffles.append(len(ref.unready))
                 if d is not heavy:
                     checked.append(worklist_invariant_ok(ref))
 
@@ -693,7 +845,7 @@ def test_random_worklist_orders_end_where_the_default_order_does():
             assert serialize(got) == serialize(out)
             assert got_stats.splits == stats.splits
             assert got_stats.within_scan_bounds(), got_stats
-            assert all(checked)
+            assert shuffles and all(checked)
             checked_rounds += len(checked)
             if d is heavy:
                 touches.add(got_stats.small_half_touches)
@@ -865,33 +1017,39 @@ def test_traced_layers_resolve_and_pipeline_calls_them(monkeypatch,
                                                        keeps_all):
     calls = _count_traced_layer_calls(monkeypatch)
     # Two copies of the automaton in a ring, so that two states share
-    # each key and the run builds transition sets and makes rounds.
+    # each key, and a final chain, so that the signature rounds leave
+    # the run to the worklist, which builds transition sets and makes
+    # rounds.
     d = _ring(_DISTINCT_LABEL_SETS, 2)
     if not keeps_all:
         # State 6 reaches no final state.
         d = PtDfa.from_triples(7, 2, d.transitions() + [(1, 1, 6)], 0,
                                d.finals)
-    out = minimize(d)
+    d = with_final_chain(d)
+    out, stats = minimize_with_stats(d)
     assert out == oracle_minimize(d)
-    # Every state of the ring is final or has a final successor, so
-    # dead-state removal groups no in-index, and the refiner groups its
-    # own.  State 6 fails that test: the in-index of d is grouped for the
-    # backward search, and the refiner groups one over the restricted
-    # automaton.
+    assert stats.signature_rounds == 3 and stats.splitter_touches > 0
+    # Every state of the ring and of the chain is final or has a final
+    # successor, so dead-state removal groups no in-index, and the
+    # refiner groups its own.  State 6 fails that test: the in-index of d
+    # is grouped for the backward search, and the refiner groups one over
+    # the restricted automaton.
     assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
                      "bucket_by": 1 if keeps_all else 2}
 
 
 def test_traced_layers_without_transition_sets(monkeypatch):
-    # When every initial block is a single state, the refiner is still
-    # built and run once, but it groups no transitions; each non-final
-    # state has a final successor, so no in-index is grouped at all.
+    # When every initial block is a single state, the partition is final
+    # at the start: no signature round is made and no Refinement is
+    # built, so no transition is grouped; each non-final state has a
+    # final successor, so no in-index is grouped at all.
     calls = _count_traced_layer_calls(monkeypatch)
     d = _DISTINCT_LABEL_SETS
     _, stats = minimize_with_stats(d)
     assert stats.initial_blocks == d.n
-    assert calls == {**dict.fromkeys(TRACED_LAYERS, 1),
-                     "init_trp_grouping": 0, "bucket_by": 0}
+    assert stats.signature_rounds == stats.splitter_touches == 0
+    assert calls == {**dict.fromkeys(TRACED_LAYERS, 0),
+                     "relevant_states": 1, "restrict": 1, "canonicalize": 1}
 
 
 @pytest.mark.parametrize("case, sorts", [
@@ -900,18 +1058,23 @@ def test_traced_layers_without_transition_sets(monkeypatch):
 def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
     # State 4 reaches no final state when the transition 1 -1-> 4 is
     # kept, and no state reaches it when 4 -0-> 0 is.  The other states
-    # share their one label in pairs of equal finality, so the refiner
-    # needs an in-index.
+    # share their one label in pairs of equal finality, and a final chain
+    # on label 2 leaves the run past the signature rounds to the
+    # worklist, so the refiner needs an in-index.
     lines = ["0 0 1", "1 0 2", "2 0 3", "3 0 0"]
     if case == "drops_one":
         lines.insert(2, "1 1 4")
     if case == "drops_unreachable":
         lines.append("4 0 0")
+    n = 5 if case.startswith("drops") else 4
+    chain_states = range(n, n + 7)
+    lines += [f"{q} 2 {q + 1}" for q in chain_states[:-1]]
+    lines.insert(1, f"0 2 {n}")
     if case == "shuffled":
         lines.reverse()
-    n = 5 if case.startswith("drops") else 4
-    text = "\n".join([f"dfa {n} 2 {len(lines)} 2 0"] + lines
-                     + ["1", "3", ""])
+    finals = ["1", "3", *map(str, chain_states)]
+    text = "\n".join([f"dfa {n + 7} 3 {len(lines)} {len(finals)} 0"] + lines
+                     + finals + [""])
     expected = serialize(oracle_minimize(parse(text)))
     d = parse(text)
     calls = {"bucket_by": 0, "order checks": 0}
@@ -927,7 +1090,9 @@ def test_parsed_input_is_counting_sorted_once(monkeypatch, case, sorts):
         monkeypatch.setattr(module, "bucket_by", sort)
     monkeypatch.setattr(automaton, "_in_key_order",
                         counted("order checks", automaton._in_key_order))
-    assert serialize(minimize(d)) == expected
+    out, stats = minimize_with_stats(d)
+    assert serialize(out) == expected
+    assert stats.signature_rounds == 3 and stats.splitter_touches > 0
     # The refiner's in-index by head.  Dead-state removal groups one
     # only for the dead state 4, whose backward search reads it, and so
     # a second one is grouped over the restricted automaton; an

@@ -12,7 +12,10 @@ completed-table baseline, run on the input the benchmark gives it
 ``lexicon_unicode``): the input's and the output's sha256, ``splits``,
 the reverse-index touches (``splitter_touches``), ``n_core`` and
 ``m_core``.  None of them depends on a clock, so a change meant to
-keep the output and the work of a run must keep every value.  The
+keep the output and the work of a run must keep every value.  When the
+signature rounds settle the partition, no ``Refinement`` is made and
+its partitions' counters read 0; the test checks which runs settle,
+and after how many rounds, apart from the fixture.  The
 inputs are built by the benchmark's own constructors in
 ``perfbench/workloads.py``, loaded by path and left as they are.
 
@@ -44,13 +47,24 @@ def _sha256(text: str) -> str:
 class _Recorded(minimizer.Refinement):
     """A ``Refinement`` that records itself, so the partitions' counters
     are read from the pipeline's own run, which may make no round that a
-    hook could see."""
+    hook could see, or make no ``Refinement`` at all."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.made.append(self)
+
+
+# Per workload, the signature rounds of each seed-7 run and whether
+# they leave it to the worklist: random_sparse starts with one block per
+# state, merge_heavy settles in a round that splits and one that does
+# not, and lexicon_unicode abandons its first round.
+ROUNDS = {"random_sparse": (0, False), "merge_heavy": (2, False),
+          "lexicon_unicode": (1, True)}
+_rounds_seen = []
+PARTITION_COUNTERS = ("brp.split_calls", "brp.split_steps", "trp.split_calls",
+                      "trp.split_steps", "trp.sets")
 
 
 def _run(text: str, order) -> dict:
@@ -62,7 +76,15 @@ def _run(text: str, order) -> dict:
         out, stats = minimize_with_stats(d, loop_hook=order)
     finally:
         minimizer.Refinement = real
-    ref, = _Recorded.made
+    _rounds_seen.append((stats.signature_rounds, bool(_Recorded.made)))
+    # A run that the signature rounds settled made no Refinement, and
+    # its partitions did no work.
+    partitions = dict.fromkeys(PARTITION_COUNTERS, 0)
+    if _Recorded.made:
+        ref, = _Recorded.made
+        partitions = {key: getattr(getattr(ref, part), counter)
+                      for key in PARTITION_COUNTERS
+                      for part, counter in [key.split(".")]}
     return {
         "output_sha256": _sha256(serialize(out)),
         "initial_blocks": stats.initial_blocks,
@@ -71,11 +93,7 @@ def _run(text: str, order) -> dict:
         "small_half_touches": stats.small_half_touches,
         "n_core": stats.n_core,
         "m_core": stats.m_core,
-        "brp.split_calls": ref.brp.split_calls,
-        "brp.split_steps": ref.brp.split_steps,
-        "trp.split_calls": ref.trp.split_calls,
-        "trp.split_steps": ref.trp.split_steps,
-        "trp.sets": ref.trp.sets,
+        **partitions,
     }
 
 
@@ -103,7 +121,9 @@ def _entries(workload: str) -> dict:
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_outputs_and_counters_match_the_fixture(workload):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    _rounds_seen.clear()
     got = _entries(workload)
+    assert set(_rounds_seen) == {ROUNDS[workload]}
     assert got.keys() == {k for k in expected if k.startswith(workload + "/")}
     for key, entry in got.items():
         # A different input means the benchmark's pools changed, not
